@@ -92,7 +92,7 @@ def _rows(results: dict, p0: dict | None) -> list[dict]:
         p0_rate = p0.get("current", {}).get("rpc", {}).get("rpcs_per_sec")
         if p0_rate:
             row["p0_rate"] = p0_rate
-            row["off_vs_p0"] = off / p0_rate
+            row["off_vs_p0"] = row["rate_off"] / p0_rate
     return [row]
 
 

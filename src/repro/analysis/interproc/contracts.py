@@ -412,13 +412,13 @@ def _collect_wire_forward(
     for wire in wires:
         pair = _wire_to_pair(contracts.component_types, wire)
         if pair is None:
-            if wire not in contracts.wire_registrations:
-                # Reported as an orphan only in a closed world (see
-                # check_contracts); remember it via a sentinel component.
-                contracts.forwards.append(
-                    ForwardSite("", wire, func.path, node.lineno, usage)
-                )
-                contracts.stats.forwards += 1
+            # A wire name no component type claims: remembered under a
+            # sentinel component and matched against the raw
+            # registrations in check_contracts, once all are collected.
+            contracts.forwards.append(
+                ForwardSite("", wire, func.path, node.lineno, usage)
+            )
+            contracts.stats.forwards += 1
             continue
         contracts.forwards.append(
             ForwardSite(pair[0], pair[1], func.path, node.lineno, usage)
@@ -435,7 +435,10 @@ def check_contracts(index: ProjectIndex, contracts: ContractIndex) -> list[Findi
     for site in contracts.forwards:
         if site.component == "":
             # A wire name matching no component type at all: an orphan
-            # unless some dynamic registration could plausibly serve it.
+            # unless something registers it raw, or some dynamic
+            # registration could plausibly serve it.
+            if site.op in contracts.wire_registrations:
+                continue
             if not open_world and not contracts.open_components:
                 findings.append(
                     Finding(

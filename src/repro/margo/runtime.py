@@ -31,6 +31,8 @@ from ..mercury import (
     BULK_SETUP_COST,
     NULL_PROVIDER,
     NULL_RPC,
+    OUTCOME_TIMEOUT,
+    OUTCOME_UNKNOWN_DEST,
     RPCRequest,
     RPCResponse,
     STATUS_ERROR,
@@ -42,7 +44,7 @@ from ..mercury import (
     serialize_cost,
 )
 from ..observability.metrics import MetricsRegistry
-from ..observability.profile import SAMPLE_STAMP, ContinuousProfiler
+from ..observability.profile import ContinuousProfiler
 from ..observability.span import HANDLER_SUFFIX, child_span_id
 from ..observability.tracer import Tracer
 from ..sim.kernel import TIMED_OUT, SimKernel
@@ -132,6 +134,7 @@ class RequestContext:
         if _sanitize.ENABLED:
             _sanitize.note_handler_responded(margo, self.request.seq)
         if self.observed:
+            self.request.responded_at = margo.kernel.now
             margo._emit("on_respond", request=self.request, response=response)
 
 
@@ -245,7 +248,8 @@ class MargoInstance:
         # formatting their report labels fresh each time is measurable.
         self._race_labels: dict[Any, str] = {}
         self._seq = 0
-        self._pending: dict[int, tuple[UltEvent, RPCRequest, float]] = {}
+        #: seq -> the event a forward() awaiting its response parks on.
+        self._pending: dict[int, UltEvent] = {}
         self._incoming: deque[Any] = deque()
         self._progress_event: Optional[UltEvent] = None
 
@@ -415,34 +419,38 @@ class MargoInstance:
             self._hook_cache[hook] = fns
         return fns
 
-    def _emit(self, hook: str, **kwargs: Any) -> int:
-        """Fire ``hook`` on every monitor; return the number fired (the
-        RPC path charges ``monitoring_cost_per_event`` per firing).
+    def _emit(self, hook: str, **kwargs: Any) -> None:
+        """Fire ``hook`` on every monitor that defines it.
 
         The ``Monitor`` contract says hooks must not raise; if one does
         anyway, the failure is contained here -- counted in
         ``margo_monitor_errors`` -- rather than crashing the RPC fast
         path: a monitoring failure must never take the data path down.
         """
-        fns = self._hook_fns(hook)
-        if not fns:
-            return 0
         now = self.kernel.now
-        for fn in fns:
+        for fn in self._hook_fns(hook):
             try:
                 fn(time=now, margo=self, **kwargs)
             except Exception:
                 self._monitor_errors.inc()
-        return len(fns)
 
     # Request-scoped lifecycle hooks are emitted inline by forward /
     # _dispatch_request / _handler_body: each path decides ``observed``
     # once per request (False when every attached monitor respects the
-    # profile-sampling stamp and the request was sampled out) and then
-    # branches, so a sampled-out request pays one attribute read total
-    # instead of a helper call per hook.  Hook charges are pre-charged
-    # into an adjacent Compute (``fired * monitoring_cost_per_event``)
-    # rather than paid as separate kernel events.
+    # profiler's sampling weight and the request was sampled out) and
+    # then branches, so a sampled-out request pays one attribute read
+    # total instead of a helper call per hook.  Inside those branches,
+    # and only there, the runtime writes the request's lifecycle record
+    # (the time fields of RPCRequest) just before the matching hook.
+    #
+    # Charge model: each attached monitor costs
+    # ``monitoring_cost_per_event`` of simulated CPU at five points of an
+    # observed RPC -- on_forward_start, on_forward_sent and
+    # on_forward_complete on the client, on_ult_start and on_ult_complete
+    # on the server -- whichever hook methods it defines.  Each charge
+    # rides an adjacent Compute (serialize / deserialize), never a kernel
+    # event of its own.  A forward that ends without a response
+    # (timeout, unknown destination) fires on_forward_complete uncharged.
 
     # ------------------------------------------------------------------
     # ULT utilities
@@ -577,81 +585,68 @@ class MargoInstance:
             span_id=span_id,
             parent_span_id=parent_span_id,
         )
-        started = self.kernel.now
         # Observability fast path: one ``observed`` decision per request
         # -- False with no monitors attached, and False when every
-        # attached monitor honors the profile-sampling stamp and this
+        # attached monitor honors the profiler's sampling weight and this
         # request was sampled out.  The emit sites below are then plain
-        # branches; per-hook helper calls were measurably hot on the
-        # sampled-out path (this is what makes every-Nth observer
-        # sampling actually cheap).
+        # branches (this is what makes every-Nth observer sampling
+        # actually cheap).
         observed = bool(self.monitors)
         prof = self.profiler
         if observed and prof is not None:
-            # Stamp the sampling decision before the first hook so a
-            # sampled-out request skips even on_forward_start.  The
-            # decision is ContinuousProfiler._sample_weight inlined (a
-            # helper call per forward was measurably hot); a fresh
-            # request is always unstamped here, the getattr is a
-            # forwarded-twice guard (retries reuse the request object).
-            weight = getattr(request, SAMPLE_STAMP, None)
-            if weight is None:
-                every = prof.sample_every
-                if every == 1:
-                    weight = 1
-                else:
-                    prof._sample_seq += 1
-                    weight = every if prof._sample_seq % every == 1 else 0
-                setattr(request, SAMPLE_STAMP, weight)
-            if weight == 0 and self._skip_unsampled:
+            # Weigh the request before the first hook so a sampled-out
+            # request skips even on_forward_start.
+            request.sample_weight = prof.next_sample_weight()
+            if request.sample_weight == 0 and self._skip_unsampled:
                 observed = False
         if observed:
-            fired = self._emit("on_forward_start", request=request)
-            # The on_forward_sent firing below is pre-charged here: one
-            # Compute covers both hooks (identical modeled cost) instead
-            # of a second kernel event on every monitored send.
-            fired += len(self._hook_fns("on_forward_sent"))
-            yield Compute(
-                serialize_cost(payload_size)
-                + fired * self.config.monitoring_cost_per_event
-            )
+            charge = len(self.monitors) * self.config.monitoring_cost_per_event
+            request.forward_at = self.kernel.now
+            if self.xray is not None and request.sample_weight:
+                request.waits = []
+            self._emit("on_forward_start", request=request)
+            # Pre-charged: on_forward_start and on_forward_sent share the
+            # serialize Compute instead of a second kernel event per send.
+            yield Compute(serialize_cost(payload_size) + 2 * charge)
         else:
             yield Compute(serialize_cost(payload_size))
 
         event = UltEvent(self.kernel, name=f"rpc:{rpc_name}:{seq}")
-        self._pending[seq] = (event, request, self.kernel.now)
+        self._pending[seq] = event
         self._inflight_out.inc()
         self._rpcs_sent.inc()
         known = self.network.send(self.process, address, request, request.wire_size)
         if observed:
+            request.sent_at = self.kernel.now
             self._emit("on_forward_sent", request=request)
+        # Every exit below ends an observed forward with exactly one
+        # on_forward_complete, its outcome in the record.
         if not known and timeout is None:
             # The destination does not exist and no timeout would ever
             # fire: fail fast instead of hanging the simulation.
             self._pending.pop(seq, None)
             self._inflight_out.dec()
+            if observed:
+                request.outcome = OUTCOME_UNKNOWN_DEST
+                self._emit("on_forward_complete", request=request)
             raise RpcError(f"unknown destination address {address!r}")
 
         value = yield Park(event, timeout)
         self._inflight_out.dec()
         if value is TIMED_OUT:
             self._pending.pop(seq, None)
+            if observed:
+                request.outcome = OUTCOME_TIMEOUT if known else OUTCOME_UNKNOWN_DEST
+                self._emit("on_forward_complete", request=request)
             raise RpcTimeoutError(
                 f"RPC {rpc_name!r} to {address} (provider {provider_id}) "
                 f"timed out after {timeout}s"
             )
         response: RPCResponse = value
         if observed:
-            fired = self._emit(
-                "on_response_received",
-                request=request,
-                response=response,
-                elapsed=self.kernel.now - started,
-            )
-            yield Compute(
-                deserialize_cost(response.payload_size)
-                + fired * self.config.monitoring_cost_per_event
-            )
+            request.outcome = response.status
+            self._emit("on_forward_complete", request=request)
+            yield Compute(deserialize_cost(response.payload_size) + charge)
         else:
             yield Compute(deserialize_cost(response.payload_size))
         if response.status == STATUS_OK:
@@ -690,9 +685,9 @@ class MargoInstance:
         if self.monitors:
             # Pre-charged like the RPC path: the hook fires after the
             # transfer, its cost rides the setup Compute.
-            pre = len(self._hook_fns("on_bulk_transfer"))
             yield Compute(
-                BULK_SETUP_COST + pre * self.config.monitoring_cost_per_event
+                BULK_SETUP_COST
+                + len(self.monitors) * self.config.monitoring_cost_per_event
             )
         else:
             yield Compute(BULK_SETUP_COST)
@@ -740,17 +735,17 @@ class MargoInstance:
 
     def _dispatch_request(self, request: RPCRequest) -> None:
         # Same per-request ``observed`` decision as forward(); a request
-        # from an unprofiled client arrives unstamped, so the server-side
+        # from an unprofiled client arrives unweighed, so the server-side
         # profiler decides here, before the first hook.
         observed = bool(self.monitors)
         prof = self.profiler
         if observed and prof is not None:
-            weight = getattr(request, SAMPLE_STAMP, None)
-            if weight is None:
-                weight = prof._sample_weight(request)
-            if weight == 0 and self._skip_unsampled:
+            if request.sample_weight is None:
+                request.sample_weight = prof.next_sample_weight()
+            if request.sample_weight == 0 and self._skip_unsampled:
                 observed = False
         if observed:
+            request.received_at = self.kernel.now
             self._emit("on_request_received", request=request)
         key = (request.rpc_id, request.provider_id)
         if _race.ENABLED:
@@ -773,9 +768,8 @@ class MargoInstance:
             )
             self.network.send(self.process, request.src_address, response, response.wire_size)
             return
-        enqueued_at = self.kernel.now
         ult = ULT(
-            self._handler_body(registration, request, enqueued_at, observed),
+            self._handler_body(registration, request, observed),
             name=f"rpc:{request.rpc_name}:{request.seq}",
         )
         ult.rpc_context = request
@@ -783,26 +777,23 @@ class MargoInstance:
             _sanitize.note_handler_dispatched(self, request, ult)
         registration.pool.push(ult)
         if observed:
+            request.enqueued_at = self.kernel.now
             self._emit("on_ult_enqueued", request=request, pool=registration.pool)
 
     def _handler_body(
         self,
         registration: Registration,
         request: RPCRequest,
-        enqueued_at: float,
         observed: bool,
     ) -> Generator:
         # ``observed`` is the per-request sampling decision made at
         # dispatch; it covers the whole handler ULT.
         self._inflight_in.inc()
-        queued_for = self.kernel.now - enqueued_at
-        ult_started = self.kernel.now
         if observed:
-            fired = self._emit("on_ult_start", request=request, queued_for=queued_for)
-            yield Compute(
-                deserialize_cost(request.payload_size)
-                + fired * self.config.monitoring_cost_per_event
-            )
+            charge = len(self.monitors) * self.config.monitoring_cost_per_event
+            request.ult_start_at = self.kernel.now
+            self._emit("on_ult_start", request=request, pool=registration.pool)
+            yield Compute(deserialize_cost(request.payload_size) + charge)
         else:
             yield Compute(deserialize_cost(request.payload_size))
         context = RequestContext(margo=self, request=request, observed=observed)
@@ -826,27 +817,15 @@ class MargoInstance:
             # the implicit path must not charge or send a second one.
             payload_size = 0
         if observed:
-            # Pre-charge the on_ult_complete firing: same modeled cost,
-            # one fewer kernel event per handled RPC.
-            pre = len(self._hook_fns("on_ult_complete"))
-            yield Compute(
-                serialize_cost(payload_size)
-                + pre * self.config.monitoring_cost_per_event
-            )
+            # Pre-charged on_ult_complete.  The handler's span in the
+            # record covers the whole ULT: input deserialization, the
+            # handler body, output serialization and the monitoring
+            # charge (the phases Listing 1's "ult"/"duration" aggregates).
+            yield Compute(serialize_cost(payload_size) + charge)
+            request.ult_end_at = self.kernel.now
+            self._emit("on_ult_complete", request=request)
         else:
             yield Compute(serialize_cost(payload_size))
-        # The ULT duration covers the whole handler ULT: input
-        # deserialization, the handler body, output serialization, and
-        # the monitoring charge (the phases Listing 1's
-        # "ult"/"duration" aggregates).
-        duration = self.kernel.now - ult_started
-        if observed:
-            self._emit(
-                "on_ult_complete",
-                request=request,
-                duration=duration,
-                queued_for=queued_for,
-            )
         self._inflight_in.dec()
         self._rpcs_handled.inc()
         if context._responded:
@@ -870,13 +849,13 @@ class MargoInstance:
         if _sanitize.ENABLED:
             _sanitize.note_handler_responded(self, request.seq)
         if observed:
+            request.responded_at = self.kernel.now
             self._emit("on_respond", request=request, response=response)
 
     def _dispatch_response(self, response: RPCResponse) -> None:
-        pending = self._pending.pop(response.seq, None)
-        if pending is None:
+        event = self._pending.pop(response.seq, None)
+        if event is None:
             return  # late response after timeout: drop
-        event, _request, _sent_at = pending
         event.set(response)
 
     # ------------------------------------------------------------------

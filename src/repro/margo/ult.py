@@ -223,16 +223,12 @@ class UltEvent:
         """``yield from event.wait()`` from ULT code."""
         if getattr(self.kernel, "xray_plane", None) is not None:
             # mochi-xray: a park inside a sampled handler is a causal
-            # edge on that request's critical path.  The edge list's
+            # edge on that request's critical path.  The wait list's
             # existence is the gate (only sampled requests carry one),
             # so unsampled parks pay two attribute reads at most.
             ult = current_ult()
             context = ult.rpc_context if ult is not None else None
-            edges = (
-                getattr(context, "_xray_edges", None)
-                if context is not None
-                else None
-            )
+            edges = context.waits if context is not None else None
             if edges is not None:
                 parked_at = self.kernel.now
                 value = yield Park(self, timeout)
@@ -285,11 +281,7 @@ class UltMutex:
             # requeue after the gate fires -- as a mochi-xray lock edge.
             waiter = current_ult()
             context = waiter.rpc_context if waiter is not None else None
-            edges = (
-                getattr(context, "_xray_edges", None)
-                if context is not None
-                else None
-            )
+            edges = context.waits if context is not None else None
             waited_from = self.kernel.now if edges is not None else None
             while self._locked:
                 gate = UltEvent(self.kernel, name=f"mutex:{self.name}")

@@ -2,8 +2,11 @@
 
 from .bulk import BULK_OP_PULL, BULK_OP_PUSH, BULK_SETUP_COST, BulkHandle
 from .hg import (
+    ANSWERED,
     NULL_PROVIDER,
     NULL_RPC,
+    OUTCOME_TIMEOUT,
+    OUTCOME_UNKNOWN_DEST,
     RPCRequest,
     RPCResponse,
     STATUS_ERROR,
@@ -22,6 +25,9 @@ __all__ = [
     "STATUS_OK",
     "STATUS_ERROR",
     "STATUS_NO_RPC",
+    "OUTCOME_TIMEOUT",
+    "OUTCOME_UNKNOWN_DEST",
+    "ANSWERED",
     "BulkHandle",
     "BULK_OP_PULL",
     "BULK_OP_PUSH",

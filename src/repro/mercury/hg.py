@@ -22,6 +22,9 @@ __all__ = [
     "STATUS_OK",
     "STATUS_ERROR",
     "STATUS_NO_RPC",
+    "OUTCOME_TIMEOUT",
+    "OUTCOME_UNKNOWN_DEST",
+    "ANSWERED",
 ]
 
 #: Provider id used when an RPC is not directed at a specific provider,
@@ -35,6 +38,14 @@ STATUS_OK = "ok"
 STATUS_ERROR = "error"
 STATUS_NO_RPC = "no_rpc"
 
+#: Terminal outcomes of a forward that never got a response: the timeout
+#: fired, or the destination address is not on the network.  A forward
+#: that got one ends with the response status (ok / error / no_rpc).
+OUTCOME_TIMEOUT = "timeout"
+OUTCOME_UNKNOWN_DEST = "unknown_dest"
+#: The outcomes whose response reached the caller.
+ANSWERED = (STATUS_OK, STATUS_ERROR, STATUS_NO_RPC)
+
 
 @lru_cache(maxsize=4096)
 def rpc_id_of(name: str) -> int:
@@ -46,9 +57,19 @@ def rpc_id_of(name: str) -> int:
     return zlib.crc32(name.encode("utf-8")) & 0xFFFFFFFF
 
 
-@dataclass
+@dataclass(slots=True)
 class RPCRequest:
-    """A request message on the wire."""
+    """A request message on the wire, and its lifecycle record.
+
+    The fields after the trace context are the record of one observed
+    RPC (paper section 4: callbacks "at various points in the lifetime
+    of an RPC").  Only the Margo runtime writes them, and only for a
+    request it observes; monitors read them.  The request crosses the
+    simulated wire by reference, so the client's and the server's
+    runtimes fill in one record and both sides' monitors see all of it.
+    Every time is simulated seconds; ``None`` means "not reached" or
+    "that endpoint was not observed".
+    """
 
     seq: int
     rpc_id: int
@@ -67,6 +88,26 @@ class RPCRequest:
     trace_id: str = ""
     span_id: str = ""
     parent_span_id: str = ""
+    #: Profiler sampling weight: 0 = sampled out, N >= 1 = sampled and
+    #: standing for N requests, None = no profiler has decided yet.
+    sample_weight: Optional[int] = None
+    #: Client: forward() started, request hit the wire.
+    forward_at: Optional[float] = None
+    sent_at: Optional[float] = None
+    #: Server: progress loop took it off the wire, handler ULT pushed,
+    #: handler started, handler finished, reply hit the wire.
+    received_at: Optional[float] = None
+    enqueued_at: Optional[float] = None
+    ult_start_at: Optional[float] = None
+    ult_end_at: Optional[float] = None
+    responded_at: Optional[float] = None
+    #: Client: how forward() ended -- a response status from
+    #: :data:`ANSWERED`, or :data:`OUTCOME_TIMEOUT` /
+    #: :data:`OUTCOME_UNKNOWN_DEST`.  Empty until it ends.
+    outcome: str = ""
+    #: mochi-xray causal wait edges ``(kind, name, duration)`` of a
+    #: sampled request; None when xray does not record this request.
+    waits: Optional[list] = None
 
     #: Fixed header size added to the payload on the wire.
     HEADER_SIZE = 64

@@ -9,10 +9,21 @@ dict of user callbacks into a monitor; the default
 Listing-1 statistics.
 
 Every hook receives ``time`` (simulated seconds), ``margo`` (the
-instance firing the hook), and hook-specific keyword arguments; the RPC
-fast path charges a small configurable cost per fired hook so that
-monitoring overhead is part of the simulated cost model (see benchmark
-E2).
+instance firing the hook), and hook-specific keyword arguments.  The
+eight request hooks receive ``request``, which is also the RPC's
+lifecycle record: before each hook the runtime has stamped the matching
+time (``forward_at``, ``sent_at``, ``received_at``, ``enqueued_at``,
+``ult_start_at``, ``ult_end_at``, ``responded_at``), so a monitor
+derives every phase from the record and keeps no per-request state.
+``on_forward_complete`` fires exactly once per observed ``forward()``,
+on every exit path, with ``request.outcome`` one of ``ok``, ``error``,
+``no_rpc`` (a response arrived), ``timeout`` or ``unknown_dest``.
+
+Each attached monitor costs ``monitoring_cost_per_event`` of simulated
+CPU at five points of an observed RPC (forward start, forward sent and
+forward complete on the client; ULT start and ULT complete on the
+server) whichever hooks it defines; the terminal hook of a forward that
+ends without a response is not charged (see benchmark E2).
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ __all__ = ["Monitor", "CallbackMonitor", "HOOK_NAMES"]
 HOOK_NAMES = (
     "on_forward_start",
     "on_forward_sent",
-    "on_response_received",
+    "on_forward_complete",
     "on_request_received",
     "on_ult_enqueued",
     "on_ult_start",
@@ -48,10 +59,8 @@ class Monitor:
     def on_forward_sent(self, time: float, margo: Any, request: Any) -> None:
         """Client side: the request hit the wire."""
 
-    def on_response_received(
-        self, time: float, margo: Any, request: Any, response: Any, elapsed: float
-    ) -> None:
-        """Client side: the response arrived; ``elapsed`` is end-to-end."""
+    def on_forward_complete(self, time: float, margo: Any, request: Any) -> None:
+        """Client side: ``forward()`` ended; ``request.outcome`` says how."""
 
     def on_request_received(self, time: float, margo: Any, request: Any) -> None:
         """Server side: the progress loop pulled the request off the wire."""
@@ -59,14 +68,10 @@ class Monitor:
     def on_ult_enqueued(self, time: float, margo: Any, request: Any, pool: Any) -> None:
         """Server side: a handler ULT was pushed to ``pool``."""
 
-    def on_ult_start(
-        self, time: float, margo: Any, request: Any, queued_for: float
-    ) -> None:
-        """Server side: the handler ULT started; ``queued_for`` is pool wait."""
+    def on_ult_start(self, time: float, margo: Any, request: Any, pool: Any) -> None:
+        """Server side: the handler ULT started running out of ``pool``."""
 
-    def on_ult_complete(
-        self, time: float, margo: Any, request: Any, duration: float, queued_for: float
-    ) -> None:
+    def on_ult_complete(self, time: float, margo: Any, request: Any) -> None:
         """Server side: the handler body finished executing."""
 
     def on_respond(self, time: float, margo: Any, request: Any, response: Any) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Optional
 
-from ..mercury import NULL_PROVIDER, NULL_RPC
+from ..mercury import ANSWERED
 from .monitor import Monitor
 from .statistics import RunningStats
 
@@ -97,61 +97,47 @@ class StatisticsMonitor(Monitor):
         self._rpcs: dict[str, _RpcRecord] = {}
         self._bulk = RunningStats()
         self._bulk_bytes = RunningStats()
-        self._pending_forward: dict[int, float] = {}
         self.dump_callback = dump_callback
         self.finalized_at: Optional[float] = None
 
     # ------------------------------------------------------------------
-    def _record(self, request: Any) -> _RpcRecord:
+    def _stats(self, request: Any, side: str, peer: str, phase: str) -> RunningStats:
+        """The accumulator of one phase, under the request's context key
+        and the peer label on the ``origin`` or ``target`` side."""
         key = rpc_key(request)
         record = self._rpcs.get(key)
         if record is None:
-            record = _RpcRecord(request)
-            self._rpcs[key] = record
-        return record
+            record = self._rpcs[key] = _RpcRecord(request)
+        return record._phase(getattr(record, side), peer, phase)
 
-    # ---- origin (client) side ----------------------------------------
-    def on_forward_start(self, time: float, margo: Any, request: Any) -> None:
-        self._pending_forward[id(request)] = time
-
+    # ---- origin (client) side: phases read off the lifecycle record --
     def on_forward_sent(self, time: float, margo: Any, request: Any) -> None:
-        started = self._pending_forward.get(id(request))
-        if started is None:
-            return
-        record = self._record(request)
         # wire-bound serialization+send phase
-        record._phase(record.origin, f"sent to {request_dst(request, margo)}", "serialize") \
-            .update(time - started)
+        self._stats(request, "origin", f"sent to {request.dst_address}", "serialize") \
+            .update(time - request.forward_at)
 
-    def on_response_received(
-        self, time: float, margo: Any, request: Any, response: Any, elapsed: float
-    ) -> None:
-        self._pending_forward.pop(id(request), None)
-        record = self._record(request)
-        record._phase(
-            record.origin, f"sent to {request_dst(request, margo)}", "forward"
-        ).update(elapsed)
+    def on_forward_complete(self, time: float, margo: Any, request: Any) -> None:
+        # A call that got its response counts under "forward"; one that
+        # did not counts under its outcome ("timeout" / "unknown_dest").
+        phase = "forward" if request.outcome in ANSWERED else request.outcome
+        self._stats(request, "origin", f"sent to {request.dst_address}", phase) \
+            .update(time - request.forward_at)
 
     # ---- target (server) side ----------------------------------------
     def on_request_received(self, time: float, margo: Any, request: Any) -> None:
-        record = self._record(request)
-        record._phase(
-            record.target, f"received from {request.src_address}", "received"
+        self._stats(
+            request, "target", f"received from {request.src_address}", "received"
         ).update(0.0)
 
-    def on_ult_start(self, time: float, margo: Any, request: Any, queued_for: float) -> None:
-        record = self._record(request)
-        record._phase(
-            record.target, f"received from {request.src_address}", "ult_queued"
-        ).update(queued_for)
+    def on_ult_start(self, time: float, margo: Any, request: Any, pool: Any) -> None:
+        self._stats(
+            request, "target", f"received from {request.src_address}", "ult_queued"
+        ).update(request.ult_start_at - request.enqueued_at)
 
-    def on_ult_complete(
-        self, time: float, margo: Any, request: Any, duration: float, queued_for: float
-    ) -> None:
-        record = self._record(request)
-        record._phase(
-            record.target, f"received from {request.src_address}", "ult_duration"
-        ).update(duration)
+    def on_ult_complete(self, time: float, margo: Any, request: Any) -> None:
+        self._stats(
+            request, "target", f"received from {request.src_address}", "ult_duration"
+        ).update(request.ult_end_at - request.ult_start_at)
 
     # ---- bulk ----------------------------------------------------------
     def on_bulk_transfer(
@@ -193,8 +179,3 @@ class StatisticsMonitor(Monitor):
     def num_contexts(self) -> int:
         return len(self._rpcs)
 
-
-def request_dst(request: Any, margo: Any) -> str:
-    """Label of the peer the request was sent to."""
-    dst = getattr(request, "dst_address", None)
-    return dst if dst is not None else f"provider {request.provider_id}"

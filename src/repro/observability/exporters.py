@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping
 
-from .span import Span, WIRE_SUFFIX, child_span_id
+from .span import Span
 from .tracer import Tracer
 
 __all__ = [
@@ -38,36 +38,16 @@ __all__ = [
 
 
 def collect_spans(*tracers: Tracer) -> list[Span]:
-    """All completed spans across ``tracers``, plus wire spans.
+    """All completed spans across ``tracers``, wire spans included.
 
-    A wire span is assembled from its two halves (client "sent", server
-    "received"); when the endpoints are observed by different tracers
-    the halves live in different ``edges`` maps, so pairing happens
-    here, over the union.
+    A wire span lives in the tracer of the request's *server* (see
+    :class:`~repro.observability.tracer.Tracer`), so exporting only the
+    client's tracer yields none.
     """
     spans: list[Span] = []
     for tracer in tracers:
         spans.extend(tracer.spans)
-    merged: dict[tuple[str, str], dict[str, Any]] = {}
-    for tracer in tracers:
-        for key, half in tracer.edges.items():
-            merged.setdefault(key, {}).update(half)
-    for (trace_id, span_id), edge in merged.items():
-        if "sent" not in edge or "received" not in edge:
-            continue  # one-sided observation (peer not traced): skip
-        spans.append(
-            Span(
-                name=edge.get("name", ""),
-                category="wire",
-                trace_id=trace_id,
-                span_id=child_span_id(span_id, WIRE_SUFFIX),
-                parent_span_id=span_id,
-                process=edge.get("dst", edge.get("src", "")),
-                start=edge["sent"],
-                end=edge["received"],
-                attributes={"src": edge.get("src", ""), "dst": edge.get("dst", "")},
-            )
-        )
+        spans.extend(tracer.wire_spans)
     spans.sort(key=lambda s: (s.trace_id, s.start, s.span_id))
     return spans
 

@@ -15,10 +15,10 @@ Two data paths feed one :class:`~.store.ProfileStore`:
 * **Decomposition** -- the profiler doubles as a monitor (same hook
   contract as :class:`~repro.observability.tracer.Tracer`): every
   forwarded RPC is broken into *client queue -> network ->
-  server queue -> handler -> respond* phases.  The halves of a phase
-  observed on different processes meet through timestamp stamps on the
-  in-flight request/response objects (one simulated clock, so cross-
-  process subtraction is exact).  Phases are recorded as histogram
+  server queue -> handler -> respond* phases.  Each phase is read off
+  the request's lifecycle record, which the client's and the server's
+  runtimes both write (one simulated clock, so cross-process
+  subtraction is exact).  Phases are recorded as histogram
   metrics in ``margo.metrics`` and as per-window aggregates; completed
   five-phase waterfalls land in a bounded ring for
   ``tools.profile_report`` and the Chrome-trace exporter.
@@ -34,27 +34,19 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Optional
 
-from ...mercury.hg import STATUS_OK
+from ...mercury.hg import ANSWERED, STATUS_OK
 from .store import PHASES, ProfileStore
 
-__all__ = ["ContinuousProfiler", "PHASES"]
+__all__ = ["ContinuousProfiler", "PHASES", "SAMPLE_STAMP"]
 
-#: Attribute names stamped on in-flight RPCRequest/RPCResponse objects
-#: (plain dataclasses, shared across the simulated wire) so the two
-#: endpoint profilers can close cross-process phases exactly.
-_SENT_STAMP = "_profile_sent_at"
-_ULT_END_STAMP = "_profile_ult_end_at"
-_RESPONDED_STAMP = "_profile_responded_at"
-#: Sampling decision stamp: 0 = not sampled (skip all decomposition),
-#: N >= 1 = sampled with weight N.  Whichever endpoint profiler sees the
-#: request first decides, so both halves agree and cross-process phases
-#: stay complete; the weight travels with the request so a peer with a
-#: different ``profile_sample_every`` still counts it correctly.  Public
-#: because the Margo emit layer reads it to skip dispatching request
-#: hooks for sampled-out requests (the per-request ``observed``
-#: decision in ``MargoInstance.forward`` / ``_dispatch_request``).
-SAMPLE_STAMP = "_profile_sample_weight"
-_SAMPLE_STAMP = SAMPLE_STAMP
+#: The request field holding the sampling decision: 0 = not sampled
+#: (skip all decomposition), N >= 1 = sampled with weight N.  Whichever
+#: endpoint's runtime sees the request first asks its profiler
+#: (:meth:`ContinuousProfiler.next_sample_weight`) and stamps it, so
+#: both halves agree and cross-process phases stay complete; the weight
+#: travels with the request so a peer with a different
+#: ``profile_sample_every`` still counts it correctly.
+SAMPLE_STAMP = "sample_weight"
 
 
 def _provider_key(rpc_name: str, provider_id: int) -> str:
@@ -73,7 +65,7 @@ class ContinuousProfiler:
     """
 
     #: Every request-scoped hook of this monitor is a no-op for a
-    #: request stamped ``SAMPLE_STAMP == 0``, so the emit layer may skip
+    #: request weighed 0, so the emit layer may skip
     #: dispatch (and the modeled monitoring charge) entirely for
     #: sampled-out requests when all attached monitors declare this.
     respects_profile_sampling = True
@@ -263,13 +255,11 @@ class ContinuousProfiler:
         series.observe(latency)
         self.store.current.observe_phase(pool_key, "sched", latency)
         if self._xray is not None:
-            # Causal sched edge for a sampled request: the edge list's
-            # existence (stamped at forward time) is the gate.
+            # Causal sched edge for a sampled request: the wait list's
+            # existence (created at forward time) is the gate.
             context = ult.rpc_context
-            if context is not None:
-                edges = getattr(context, "_xray_edges", None)
-                if edges is not None:
-                    edges.append(("sched", pool.name, latency))
+            if context is not None and context.waits is not None:
+                context.waits.append(("sched", pool.name, latency))
 
     # ------------------------------------------------------------------
     # monitor hooks (RPC latency decomposition)
@@ -291,107 +281,57 @@ class ContinuousProfiler:
         series.observe(value)
         self.store.current.observe_phase(rpc_key, phase, value)
 
-    def _sample_weight(self, request: Any) -> int:
-        """The request's sampling weight: 0 to skip decomposition, N >=
-        1 to record it standing for N requests.  First profiler to see
-        the request decides and stamps; later hooks (either endpoint)
-        reuse the stamp.  The Margo RPC paths call this before the first
-        lifecycle hook so that a sampled-out request never pays a single
-        monitor dispatch; the hooks below read the stamp directly and
-        only fall back here for a request stamped by neither endpoint
-        (profiler attached mid-flight)."""
-        weight = getattr(request, _SAMPLE_STAMP, None)
-        if weight is None:
-            if self.sample_every == 1:
-                weight = 1
-            else:
-                self._sample_seq += 1
-                weight = (
-                    self.sample_every
-                    if self._sample_seq % self.sample_every == 1
-                    else 0
-                )
-            setattr(request, _SAMPLE_STAMP, weight)
-        return weight
+    def next_sample_weight(self) -> int:
+        """The sampling weight of the next request this endpoint weighs:
+        0 to skip decomposition, N >= 1 to record it standing for N
+        requests.  The Margo runtime stamps it on the request before the
+        first lifecycle hook, so every hook below finds it set."""
+        every = self.sample_every
+        if every == 1:
+            return 1
+        self._sample_seq += 1
+        return every if self._sample_seq % every == 1 else 0
 
     # client side ------------------------------------------------------
     def on_forward_start(self, time: float, margo: Any, request: Any) -> None:
-        weight = getattr(request, _SAMPLE_STAMP, None)
-        if weight is None:
-            weight = self._sample_weight(request)
-        if not weight:
-            return
-        request._profile_fwd_start = time
+        """Nothing to observe yet: the client_queue phase starts at the
+        record's ``forward_at`` and closes at :meth:`on_forward_sent`."""
 
     def on_forward_sent(self, time: float, margo: Any, request: Any) -> None:
-        weight = getattr(request, _SAMPLE_STAMP, None)
-        if weight is None:
-            weight = self._sample_weight(request)
-        if not weight:
-            return
-        started = getattr(request, "_profile_fwd_start", None)
-        if started is not None:
-            self._phase(request, "client_queue", time - started)
-        setattr(request, _SENT_STAMP, time)
+        if request.sample_weight:
+            self._phase(request, "client_queue", time - request.forward_at)
 
-    def on_response_received(
-        self, time: float, margo: Any, request: Any, response: Any, elapsed: float
-    ) -> None:
-        weight = getattr(request, _SAMPLE_STAMP, None)
-        if weight is None:
-            weight = self._sample_weight(request)
-        if not weight:
+    def on_forward_complete(self, time: float, margo: Any, request: Any) -> None:
+        if not request.sample_weight or request.outcome not in ANSWERED:
             return
-        responded = getattr(response, _RESPONDED_STAMP, None)
-        if responded is not None:
-            self._phase(request, "respond", time - responded)
-        self._phase(request, "total", elapsed)
-        if self._keep_waterfalls:
-            self._maybe_record_waterfall(time, request, response)
+        if request.responded_at is not None:
+            self._phase(request, "respond", time - request.responded_at)
+        self._phase(request, "total", time - request.forward_at)
+        if self._keep_waterfalls and request.ult_end_at is not None:
+            self._record_waterfall(time, request)
 
     # server side ------------------------------------------------------
     def on_request_received(self, time: float, margo: Any, request: Any) -> None:
-        weight = getattr(request, _SAMPLE_STAMP, None)
-        if weight is None:
-            weight = self._sample_weight(request)
-        if not weight:
-            return
-        sent = getattr(request, _SENT_STAMP, None)
-        if sent is not None:
-            self._phase(request, "network", time - sent)
-        request._profile_received_at = time
+        if request.sample_weight and request.sent_at is not None:
+            self._phase(request, "network", time - request.sent_at)
 
-    def on_ult_start(
-        self, time: float, margo: Any, request: Any, queued_for: float
-    ) -> None:
-        weight = getattr(request, _SAMPLE_STAMP, None)
-        if weight is None:
-            weight = self._sample_weight(request)
+    def on_ult_start(self, time: float, margo: Any, request: Any, pool: Any) -> None:
+        weight = request.sample_weight
         if not weight:
             return
-        self._phase(request, "server_queue", queued_for)
+        self._phase(request, "server_queue", time - request.enqueued_at)
         self.store.current.note_request(
             _provider_key(request.rpc_name, request.provider_id),
             request.payload_size,
             weight=weight,
         )
-        request._profile_ult_start_at = time
 
-    def on_ult_complete(
-        self, time: float, margo: Any, request: Any, duration: float, queued_for: float
-    ) -> None:
-        weight = getattr(request, _SAMPLE_STAMP, None)
-        if weight is None:
-            weight = self._sample_weight(request)
-        if not weight:
-            return
-        self._phase(request, "handler", duration)
-        setattr(request, _ULT_END_STAMP, time)
+    def on_ult_complete(self, time: float, margo: Any, request: Any) -> None:
+        if request.sample_weight:
+            self._phase(request, "handler", time - request.ult_start_at)
 
     def on_respond(self, time: float, margo: Any, request: Any, response: Any) -> None:
-        weight = getattr(request, _SAMPLE_STAMP, None)
-        if weight is None:
-            weight = self._sample_weight(request)
+        weight = request.sample_weight
         if not weight:
             return
         self.store.current.note_response(
@@ -400,17 +340,12 @@ class ContinuousProfiler:
             error=response.status != STATUS_OK,
             weight=weight,
         )
-        setattr(response, _RESPONDED_STAMP, time)
 
-    # waterfall assembly (client side, all stamps present) -------------
-    def _maybe_record_waterfall(self, now: float, request: Any, response: Any) -> None:
-        fwd_start = getattr(request, "_profile_fwd_start", None)
-        sent = getattr(request, _SENT_STAMP, None)
-        received = getattr(request, "_profile_received_at", None)
-        ult_start = getattr(request, "_profile_ult_start_at", None)
-        ult_end = getattr(request, _ULT_END_STAMP, None)
-        if None in (fwd_start, sent, received, ult_start, ult_end):
-            return  # peer not profiled: no cross-process stamps
+    # waterfall assembly (client side, the server's record half present)
+    def _record_waterfall(self, now: float, request: Any) -> None:
+        fwd_start, sent = request.forward_at, request.sent_at
+        received, ult_start = request.received_at, request.ult_start_at
+        ult_end = request.ult_end_at
         self.waterfalls.append(
             {
                 "trace_id": request.trace_id,
@@ -418,7 +353,7 @@ class ContinuousProfiler:
                 "rpc": request.rpc_name,
                 "provider": request.provider_id,
                 "process": self.margo.process.name,
-                "weight": getattr(request, _SAMPLE_STAMP, 1),
+                "weight": request.sample_weight,
                 "start": fwd_start,
                 "end": now,
                 "phases": [

@@ -4,17 +4,23 @@
 :class:`~repro.monitoring.stats_monitor.StatisticsMonitor` (it exposes
 the standard hook methods and is attached with ``margo.add_monitor`` or
 via ``ObservabilitySpec.tracing``), but instead of aggregating running
-statistics it materializes **per-request spans**:
+statistics it materializes **per-request spans**.  Each span is emitted
+by the hook that closes it, with its start read off the request's
+lifecycle record, so the tracer keeps no per-request state:
 
-======== ======================= =====================================
-span     id                      bounds
-======== ======================= =====================================
-forward  ``<span_id>``           on_forward_start -> on_response_received
-wire     ``<span_id>/w``         on_forward_sent -> on_request_received
-queue    ``<span_id>/q``         on_ult_enqueued -> on_ult_start
-handler  ``<span_id>/h``         on_ult_start -> on_ult_complete
+======== ======================= ===================================
+span     id                      bounds (record field -> hook)
+======== ======================= ===================================
+forward  ``<span_id>``           forward_at -> on_forward_complete
+wire     ``<span_id>/w``         sent_at -> on_request_received
+queue    ``<span_id>/q``         enqueued_at -> on_ult_start
+handler  ``<span_id>/h``         ult_start_at -> on_ult_complete
 respond  ``<span_id>/r``         on_respond (instant)
-======== ======================= =====================================
+======== ======================= ===================================
+
+The forward span's ``status`` attribute is the forward's outcome, so a
+timed-out call or one to an unknown destination closes as a ``forward``
+span with status ``timeout`` / ``unknown_dest``.
 
 ``span_id`` is the request's call id, stamped by
 :meth:`MargoInstance.forward <repro.margo.runtime.MargoInstance.forward>`;
@@ -22,10 +28,11 @@ a nested RPC's ``parent_span_id`` is its parent handler's span id, so a
 HEPnOS store that fans out into Yokan puts -- or a Raft AppendEntries
 fan-out -- yields one tree per root request.
 
-A wire span needs both endpoints' clocks; when client and server are
-observed by *different* tracer instances, each records its half as an
-"edge" and :func:`~repro.observability.exporters.collect_spans` pairs
-them at export time.
+A wire span needs the client's send time, which the request carries:
+the *server's* tracer records it (in :attr:`Tracer.wire_spans`) when
+the client's runtime observed the send, and
+:func:`~repro.observability.exporters.collect_spans` merges it with
+the other spans at export time.
 """
 
 from __future__ import annotations
@@ -95,172 +102,133 @@ class Tracer:
         #: hook observations skipped by the sampling decision (distinct
         #: from ``dropped_spans``, the max_spans overflow count).
         self.sampled_out = 0
-        #: (trace_id, span_id) -> client-side in-progress forward span.
-        self._forward_open: dict[tuple[str, str], dict[str, Any]] = {}
-        #: (trace_id, span_id) -> {"sent": t, "received": t, ...} halves
-        #: of the wire span (paired at export time).
-        self.edges: dict[tuple[str, str], dict[str, Any]] = {}
-        #: (trace_id, span_id) -> queue/handler start bookkeeping.
-        self._server_open: dict[tuple[str, str], dict[str, Any]] = {}
+        #: server-recorded wire spans (see the module docstring).
+        self.wire_spans: list[Span] = []
+        #: RPC spans begun (client forward, server handler) and not yet
+        #: closed by their terminal hook.
+        self._rpc_open = 0
         self._manual_seq = 0
         #: spans begun via :meth:`start_span` and not yet ended.
         self._manual_open = 0
 
     # ------------------------------------------------------------------
-    def _add(self, span: Span) -> None:
-        if self.max_spans is not None and len(self.spans) >= self.max_spans:
+    def _add(self, span: Span, into: Optional[list[Span]] = None) -> None:
+        into = self.spans if into is None else into
+        if self.max_spans is not None and len(into) >= self.max_spans:
             self.dropped_spans += 1
             return
-        self.spans.append(span)
+        into.append(span)
 
-    def _sampled(self, trace_id: str) -> bool:
-        if self.sample_rate >= 1.0:
-            return True
-        if self.sample_rate <= 0.0:
-            return False
-        return zlib.crc32(trace_id.encode("utf-8")) < self._sample_cutoff
-
-    def _key(self, request: Any) -> Optional[tuple[str, str]]:
-        trace_id = getattr(request, "trace_id", "")
+    def _sampled(self, request: Any) -> bool:
+        trace_id = request.trace_id
         if not trace_id:
-            return None
-        if not self._sampled(trace_id):
-            self.sampled_out += 1
-            return None
-        return (trace_id, request.span_id)
+            return False
+        if self.sample_rate >= 1.0 or (
+            self.sample_rate > 0.0
+            and zlib.crc32(trace_id.encode("utf-8")) < self._sample_cutoff
+        ):
+            return True
+        self.sampled_out += 1
+        return False
+
+    def _close_rpc(self) -> None:
+        # A tracer attached while a forward or handler is in flight sees
+        # its close without its open; clamping keeps the count from going
+        # negative, where it would hide a later leak.  Once every open
+        # this tracer saw has closed, the count reads 0 either way.
+        if self._rpc_open:
+            self._rpc_open -= 1
+
+    def _rpc_span(
+        self,
+        margo: Any,
+        request: Any,
+        category: str,
+        span_id: str,
+        parent_span_id: str,
+        start: float,
+        end: float,
+        attributes: dict[str, Any],
+        into: Optional[list[Span]] = None,
+    ) -> None:
+        self._add(
+            Span(
+                name=request.rpc_name,
+                category=category,
+                trace_id=request.trace_id,
+                span_id=span_id,
+                parent_span_id=parent_span_id,
+                process=margo.process.name,
+                start=start,
+                end=end,
+                attributes=attributes,
+            ),
+            into,
+        )
 
     # ------------------------------------------------------------------
     # client-side hooks
     # ------------------------------------------------------------------
     def on_forward_start(self, time: float, margo: Any, request: Any) -> None:
-        key = self._key(request)
-        if key is None:
-            return
-        self._forward_open[key] = {
-            "start": time,
-            "process": margo.process.name,
-        }
+        if self._sampled(request):
+            self._rpc_open += 1
 
-    def on_forward_sent(self, time: float, margo: Any, request: Any) -> None:
-        key = self._key(request)
-        if key is None:
+    def on_forward_complete(self, time: float, margo: Any, request: Any) -> None:
+        if not self._sampled(request):
             return
-        edge = self.edges.setdefault(key, {"name": request.rpc_name})
-        edge["sent"] = time
-        edge["src"] = margo.process.name
-
-    def on_response_received(
-        self, time: float, margo: Any, request: Any, response: Any, elapsed: float
-    ) -> None:
-        key = self._key(request)
-        if key is None:
-            return
-        open_span = self._forward_open.pop(key, None)
-        if open_span is None:
-            return
-        self._add(
-            Span(
-                name=request.rpc_name,
-                category="forward",
-                trace_id=request.trace_id,
-                span_id=request.span_id,
-                parent_span_id=request.parent_span_id,
-                process=open_span["process"],
-                start=open_span["start"],
-                end=time,
-                attributes={
-                    "dst": request.dst_address,
-                    "provider_id": request.provider_id,
-                    "status": response.status,
-                    "payload_size": request.payload_size,
-                },
-            )
+        self._close_rpc()
+        self._rpc_span(
+            margo, request, "forward", request.span_id, request.parent_span_id,
+            request.forward_at, time,
+            {
+                "dst": request.dst_address,
+                "provider_id": request.provider_id,
+                "status": request.outcome,
+                "payload_size": request.payload_size,
+            },
         )
 
     # ------------------------------------------------------------------
     # server-side hooks
     # ------------------------------------------------------------------
     def on_request_received(self, time: float, margo: Any, request: Any) -> None:
-        key = self._key(request)
-        if key is None:
-            return
-        edge = self.edges.setdefault(key, {"name": request.rpc_name})
-        edge["received"] = time
-        edge["dst"] = margo.process.name
+        if request.sent_at is None or not self._sampled(request):
+            return  # the client's runtime did not observe the send
+        self._rpc_span(
+            margo, request, "wire", child_span_id(request.span_id, WIRE_SUFFIX),
+            request.span_id, request.sent_at, time,
+            {
+                "src": request.src_address.rsplit("/", 1)[-1],
+                "dst": margo.process.name,
+            },
+            into=self.wire_spans,
+        )
 
-    def on_ult_enqueued(self, time: float, margo: Any, request: Any, pool: Any) -> None:
-        key = self._key(request)
-        if key is None:
+    def on_ult_start(self, time: float, margo: Any, request: Any, pool: Any) -> None:
+        if not self._sampled(request):
             return
-        self._server_open[key] = {
-            "enqueued": time,
-            "pool": pool.name,
-            "process": margo.process.name,
-        }
+        self._rpc_open += 1
+        self._rpc_span(
+            margo, request, "queue", child_span_id(request.span_id, QUEUE_SUFFIX),
+            request.span_id, request.enqueued_at, time, {"pool": pool.name},
+        )
 
-    def on_ult_start(
-        self, time: float, margo: Any, request: Any, queued_for: float
-    ) -> None:
-        key = self._key(request)
-        if key is None:
+    def on_ult_complete(self, time: float, margo: Any, request: Any) -> None:
+        if not self._sampled(request):
             return
-        state = self._server_open.setdefault(key, {"process": margo.process.name})
-        enqueued = state.get("enqueued")
-        if enqueued is not None:
-            self._add(
-                Span(
-                    name=request.rpc_name,
-                    category="queue",
-                    trace_id=request.trace_id,
-                    span_id=child_span_id(request.span_id, QUEUE_SUFFIX),
-                    parent_span_id=request.span_id,
-                    process=state["process"],
-                    start=enqueued,
-                    end=time,
-                    attributes={"pool": state.get("pool", "")},
-                )
-            )
-        state["handler_start"] = time
-
-    def on_ult_complete(
-        self, time: float, margo: Any, request: Any, duration: float, queued_for: float
-    ) -> None:
-        key = self._key(request)
-        if key is None:
-            return
-        state = self._server_open.pop(key, None)
-        if state is None or "handler_start" not in state:
-            return
-        self._add(
-            Span(
-                name=request.rpc_name,
-                category="handler",
-                trace_id=request.trace_id,
-                span_id=child_span_id(request.span_id, HANDLER_SUFFIX),
-                parent_span_id=request.span_id,
-                process=state["process"],
-                start=state["handler_start"],
-                end=time,
-                attributes={"src": request.src_address},
-            )
+        self._close_rpc()
+        self._rpc_span(
+            margo, request, "handler", child_span_id(request.span_id, HANDLER_SUFFIX),
+            request.span_id, request.ult_start_at, time, {"src": request.src_address},
         )
 
     def on_respond(self, time: float, margo: Any, request: Any, response: Any) -> None:
-        key = self._key(request)
-        if key is None:
+        if not self._sampled(request):
             return
-        self._add(
-            Span(
-                name=request.rpc_name,
-                category="respond",
-                trace_id=request.trace_id,
-                span_id=child_span_id(request.span_id, RESPOND_SUFFIX),
-                parent_span_id=child_span_id(request.span_id, HANDLER_SUFFIX),
-                process=margo.process.name,
-                start=time,
-                end=time,
-                attributes={"status": response.status},
-            )
+        self._rpc_span(
+            margo, request, "respond", child_span_id(request.span_id, RESPOND_SUFFIX),
+            child_span_id(request.span_id, HANDLER_SUFFIX), time, time,
+            {"status": response.status},
         )
 
     # ------------------------------------------------------------------
@@ -351,11 +319,12 @@ class Tracer:
     # ------------------------------------------------------------------
     @property
     def open_span_count(self) -> int:
-        """Spans begun but not completed: client forwards awaiting a
-        response, server handlers in flight, and manual
-        :meth:`start_span` spans not yet ended (a steady growth here is
-        the run-time signature of the MCH074 leak)."""
-        return len(self._forward_open) + len(self._server_open) + self._manual_open
+        """Spans begun but not completed: client forwards not yet ended
+        (every outcome, timeouts included, ends one), server handlers in
+        flight, and manual :meth:`start_span` spans not yet ended (a
+        steady growth here is the run-time signature of the MCH074
+        leak)."""
+        return self._rpc_open + self._manual_open
 
     def trace_ids(self) -> list[str]:
         return sorted({s.trace_id for s in self.spans})

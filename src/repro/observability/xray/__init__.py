@@ -13,11 +13,10 @@ ReconfigurationController` ranks and (optionally) applies.
 
 from .attribution import attribute_paths, nearest_rank, segment_key
 from .critical_path import critical_chain, critical_span_ids, format_path_record
-from .plane import EDGES_ATTR, XrayPlane, XrayRecorder
+from .plane import XrayPlane, XrayRecorder
 from .whatif import SHRINK, candidate_for, what_if
 
 __all__ = [
-    "EDGES_ATTR",
     "SHRINK",
     "XrayPlane",
     "XrayRecorder",

@@ -6,22 +6,22 @@ aggregates what every endpoint records, and one per-Margo
 :class:`XrayRecorder` -- an ordinary monitor -- assembles path records
 on the client side when a sampled request completes.
 
-Recording rides the profiler's every-Nth ``SAMPLE_STAMP`` decision
-end to end:
+Recording rides the profiler's every-Nth sampling decision end to end:
 
-* ``on_forward_start`` (client): if the request is sampled, attach an
-  empty ``_xray_edges`` list to it.  The list's *existence* is the only
-  gate every downstream hook checks, so sampled-out requests cost the
-  hot paths nothing beyond the checks they already paid for profiling.
+* at forward time the client's runtime gives a sampled request an empty
+  ``waits`` list in its lifecycle record.  The list's *existence* is the
+  only gate every downstream hook checks, so sampled-out requests cost
+  the hot paths nothing beyond the checks they already paid for
+  profiling.
 * server-side hot paths append ``(kind, name, duration)`` edge tuples:
   ``("sched", pool, wait)`` from the profiler's pool-pop hook,
   ``("lock", mutex, wait)`` from a contended ``UltMutex.acquire``,
   ``("park", event, wait)`` from ``UltEvent.wait``.  The request object
   crosses the simulated wire by reference, so the client sees them.
-* ``on_response_received`` (client): combine the profiler's cross-
-  process phase stamps with the collected edges into one **path
-  record** -- the request's critical path, segments in causal order --
-  and hand it to the plane.
+* ``on_forward_complete`` (client): combine the record's cross-process
+  phase times with the collected edges into one **path record** -- the
+  request's critical path, segments in causal order -- and hand it to
+  the plane.  A forward that got no response records no path.
 
 At every closed profiler window the plane runs tail-latency
 attribution (:func:`~.attribution.attribute_paths`) and the what-if
@@ -35,17 +35,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Optional
 
-from ..profile.profiler import _SAMPLE_STAMP, _SENT_STAMP, _ULT_END_STAMP
+from ...mercury.hg import ANSWERED
 from .attribution import attribute_paths
 from .whatif import what_if
 
-__all__ = ["EDGES_ATTR", "XrayPlane", "XrayRecorder"]
-
-#: Attribute holding the per-request causal-edge list.  Present on a
-#: request if and only if the request is sampled *and* some xray
-#: recorder saw it leave a client -- the single gate every edge source
-#: checks before paying any recording cost.
-EDGES_ATTR = "_xray_edges"
+__all__ = ["XrayPlane", "XrayRecorder"]
 
 
 class XrayPlane:
@@ -130,11 +124,11 @@ class XrayRecorder:
 
     Requires an attached :class:`ContinuousProfiler` (the spec enforces
     ``xray`` implies ``profiling``): the recorder shares its sampling
-    decision, its cross-process phase stamps, and its window boundaries.
+    decision and its window boundaries.
     """
 
     #: Same contract as the profiler: every request-scoped hook no-ops
-    #: for ``SAMPLE_STAMP == 0`` requests, so the emit layer may skip
+    #: for requests weighed 0, so the emit layer may skip
     #: dispatching hooks for sampled-out requests entirely.
     respects_profile_sampling = True
 
@@ -162,27 +156,15 @@ class XrayRecorder:
     # ------------------------------------------------------------------
     # monitor hooks (client side)
     # ------------------------------------------------------------------
-    def on_forward_start(self, time: float, margo: Any, request: Any) -> None:
-        weight = getattr(request, _SAMPLE_STAMP, None)
-        if weight is None:
-            weight = self.margo.profiler._sample_weight(request)
-        if not weight:
+    def on_forward_complete(self, time: float, margo: Any, request: Any) -> None:
+        edges = request.waits
+        if edges is None or request.outcome not in ANSWERED:
             return
-        setattr(request, EDGES_ATTR, [])
-
-    def on_response_received(
-        self, time: float, margo: Any, request: Any, response: Any, elapsed: float
-    ) -> None:
-        edges = getattr(request, EDGES_ATTR, None)
-        if edges is None:
-            return
-        fwd_start = getattr(request, "_profile_fwd_start", None)
-        sent = getattr(request, _SENT_STAMP, None)
-        received = getattr(request, "_profile_received_at", None)
-        ult_start = getattr(request, "_profile_ult_start_at", None)
-        ult_end = getattr(request, _ULT_END_STAMP, None)
-        if None in (fwd_start, sent, received, ult_start, ult_end):
-            return  # peer not profiled: cross-process stamps missing
+        fwd_start, sent = request.forward_at, request.sent_at
+        received, ult_start = request.received_at, request.ult_start_at
+        ult_end = request.ult_end_at
+        if ult_end is None:
+            return  # peer not observed: the server half of the record is empty
         client = self.margo.process.name
         server = request.dst_address.rsplit("/", 1)[-1]
         segments = [
@@ -251,7 +233,7 @@ class XrayRecorder:
                 "span_id": request.span_id,
                 "rpc": request.rpc_name,
                 "provider": request.provider_id,
-                "weight": getattr(request, _SAMPLE_STAMP, 1),
+                "weight": request.sample_weight,
                 "client": client,
                 "server": server,
                 "start": fwd_start,

@@ -54,6 +54,8 @@ def candidate_for(
         return None
     process = segment["process"]
     if action == "add_xstream":
+        if not segment["pool"]:
+            return None  # no server profiler named the pool: no target
         return {"action": action, "process": process, "target": segment["pool"]}
     if action == "migrate_provider":
         # Name the provider that dominates this segment: the most common

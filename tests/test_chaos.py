@@ -6,11 +6,15 @@ invariants.  These are the tests that catch cross-component races the
 unit suites cannot.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro import Cluster
 from repro.core import DynamicService, ProcessSpec, ResilienceManager, ServiceSpec
+from repro.margo.errors import RpcError
 from repro.margo.ult import UltSleep
+from repro.monitoring import CallbackMonitor, StatisticsMonitor
 from repro.raft import KVStateMachine, RaftClient, RaftConfig, RaftNode, Role
 from repro.ssg import SwimConfig, create_group
 from repro.storage import ParallelFileSystem
@@ -203,3 +207,133 @@ def test_chaos_swim_group_under_loss_and_churn():
     for group in stable:
         assert set(group.view.members) == expected, group.margo.address
     assert len({g.view_hash for g in stable}) == 1
+
+
+# ----------------------------------------------------------------------
+# observers under a timeout storm
+# ----------------------------------------------------------------------
+OBSERVE_ALL = {
+    "observability": {
+        "tracing": True,
+        "max_spans": 64,
+        "profiling": True,
+        "profile_sample_every": 4,
+        "xray": True,
+    }
+}
+CALL_TIMEOUT = 1e-3
+#: One phase of the scripted mix: (outcome, calls).  Two phases run, so
+#: 2,000 calls time out in total.
+PHASE = (
+    ("timeout", 1000),
+    ("ok", 60),
+    ("error", 30),
+    ("no_rpc", 30),
+    ("unknown_dest", 40),
+    ("dead_peer", 40),
+)
+
+
+def _observer_sizes(margos, stats):
+    """len() of every dict/list/set an observer holds directly (its
+    deques are bounded by construction)."""
+    sizes = {}
+    for margo in margos:
+        observers = [margo.tracer, margo.profiler, margo.xray]
+        for obs in observers + [stats[margo.process.name]]:
+            for attr, value in vars(obs).items():
+                if isinstance(value, (dict, list, set)):
+                    sizes[(margo.process.name, type(obs).__name__, attr)] = len(value)
+    return sizes
+
+
+def test_chaos_timeout_storm_leaves_no_observer_state():
+    """Thousands of timeouts plus unknown-destination and dead-peer
+    forwards, every observer on: each forward() ends in exactly one
+    terminal hook with the scripted outcome, and no observer keeps
+    per-request state once the calls have ended."""
+    cluster = Cluster(seed=303)
+    stats = {name: StatisticsMonitor() for name in ("server", "client")}
+    # Holding every ended request keeps its id() unique, so a leak keyed
+    # by id(request) cannot hide behind address reuse.
+    ended = []
+    counter = CallbackMonitor(
+        {"on_forward_complete": lambda request, **kw: ended.append(request)}
+    )
+    server = cluster.add_margo(
+        "server", node="n0", config=OBSERVE_ALL, monitors=(stats["server"],)
+    )
+    client = cluster.add_margo(
+        "client", node="n1", config=OBSERVE_ALL, monitors=(stats["client"], counter)
+    )
+    dead = cluster.add_margo("dead", node="n2")
+    cluster.faults.kill_process(dead.process)
+
+    def slow(ctx):
+        yield UltSleep(2 * CALL_TIMEOUT)
+        return ctx.args
+
+    def fail(ctx):
+        raise ValueError("scripted handler failure")
+
+    server.register("echo", lambda ctx: ctx.args)
+    server.register("slow", slow)
+    server.register("fail", fail)
+    calls = {
+        "timeout": (server.address, "slow", CALL_TIMEOUT),
+        "ok": (server.address, "echo", None),
+        "error": (server.address, "fail", None),
+        "no_rpc": (server.address, "nope", None),
+        "unknown_dest": ("na+ofi://nowhere/ghost", "echo", None),
+        "dead_peer": (dead.address, "echo", CALL_TIMEOUT),
+    }
+    script = [kind for kind, n in PHASE for _ in range(n)]
+    script = script[::2] + script[1::2]  # interleave the kinds
+
+    def phase():
+        made = 0
+        for kind in script:
+            address, rpc, timeout = calls[kind]
+            try:
+                yield from client.forward(address, rpc, kind, timeout=timeout)
+            except RpcError:
+                pass
+            made += 1
+        yield UltSleep(4 * CALL_TIMEOUT)  # let late handlers finish
+        return made
+
+    made = cluster.run_ult(client, phase())
+    after_one = _observer_sizes((client, server), stats)
+    made += cluster.run_ult(client, phase())
+    after_two = _observer_sizes((client, server), stats)
+
+    assert made == 2 * len(script)
+    # Exactly one terminal firing per forward() call ...
+    completions = Counter(request.span_id for request in ended)
+    assert sum(completions.values()) == made
+    assert set(completions.values()) == {1}
+    # ... with the outcome the script asked for.
+    outcomes = Counter(request.outcome for request in ended)
+    expected = Counter()
+    for kind, n in PHASE:
+        expected["timeout" if kind == "dead_peer" else kind] += 2 * n
+    assert outcomes == expected
+    assert outcomes["timeout"] >= 2000
+    # Zero residual per-request state, in the runtime and the observers.
+    assert client._pending == {} and client.inflight_outgoing == 0
+    for margo in (client, server):
+        assert margo.tracer.open_span_count == 0
+        assert margo.monitor_errors == 0
+    assert after_two == after_one
+    # Timeouts are visible: Listing 1 counts them beside serialize, and
+    # the tracer closes them as forward spans with their outcome.
+    (slow_record,) = stats["client"].find_by_name("slow")
+    (origin,) = slow_record["origin"].values()
+    assert origin["timeout"]["num"] == origin["serialize"]["num"] == 2000
+    assert "forward" not in origin
+    statuses = {
+        s.attributes["status"]
+        for s in client.tracer.spans
+        if s.category == "forward"
+    }
+    assert "timeout" in statuses

@@ -76,3 +76,11 @@ def test_contract_index_pairs_both_ends():
     assert contracts.forwarded_ops("echo") == {"ping", "put"}
     handlers = {r.op: r.handler.name for r in contracts.registrations}
     assert handlers == {"ping": "_on_ping", "put": "_on_put"}
+
+
+def test_wire_forward_matches_registration_collected_later():
+    findings, stats = _contract_findings("rpcwire")
+    bench = fixture_path("rpcwire", "bench.py")
+    orphans = [f for f in findings if f.rule_id == "MCH050"]
+    assert [f.line for f in orphans] == [line_of(bench, 'address, "missing"')]
+    assert stats["rpc_forwards"] == 2

@@ -89,7 +89,9 @@ def test_callback_monitor_invoked_at_lifecycle_points():
             "on_forward_start": lambda **kw: events.append("forward_start"),
             "on_ult_start": lambda **kw: events.append("ult_start"),
             "on_respond": lambda **kw: events.append("respond"),
-            "on_response_received": lambda **kw: events.append("response"),
+            "on_forward_complete": lambda **kw: events.append(
+                "complete:" + kw["request"].outcome
+            ),
         }
     )
     server = cluster.add_margo("server", node="n0", monitors=(monitor,))
@@ -100,7 +102,11 @@ def test_callback_monitor_invoked_at_lifecycle_points():
         return (yield from client.forward(server.address, "echo", 1))
 
     cluster.run_ult(client, driver())
-    assert events == ["forward_start", "ult_start", "respond", "response"]
+    assert events == ["forward_start", "ult_start", "respond", "complete:ok"]
+
+
+def test_hook_names_are_the_monitor_interface():
+    assert set(HOOK_NAMES) == {n for n in vars(Monitor) if n.startswith("on_")}
 
 
 def test_callback_monitor_dispatches_every_hook():

@@ -15,6 +15,8 @@ from repro import Cluster
 from repro.bedrock import BedrockClient, boot_process
 from repro.margo import MargoConfig
 from repro.margo.errors import ConfigError
+from repro.margo.ult import UltSleep
+from repro.monitoring import StatisticsMonitor
 from repro.observability import (
     DEFAULT_BUCKETS,
     MetricError,
@@ -270,17 +272,43 @@ def test_nested_rpc_chrome_trace_is_valid_and_deterministic():
 
 def test_wire_span_pairs_across_different_tracers():
     # Client and server have *separate* tracer instances; the wire span
-    # only exists once their edge halves are merged at export time.
+    # is recorded by the server's, so only exporting both yields it.
     cluster = nested_rpc_run()
     a_tracer = cluster.margos["a"].tracer
     b_tracer = cluster.margos["b"].tracer
     solo_a = collect_spans(a_tracer)
-    assert not any(s.category == "wire" for s in solo_a)  # one-sided: skipped
+    assert not any(s.category == "wire" for s in solo_a)  # client side only
     paired = collect_spans(a_tracer, b_tracer)
     wire = [s for s in paired if s.span_id == "a:1/w"]
     assert len(wire) == 1
     assert wire[0].attributes == {"src": "a", "dst": "b"}
     assert wire[0].end >= wire[0].start
+
+
+def test_tracer_attached_mid_flight_never_counts_negative():
+    # A Listing-1 monitor makes the RPC observed from the start; the
+    # tracer joins while the handler runs, so it sees the forward's and
+    # the handler's close without their open.
+    cluster = Cluster(seed=5)
+    server = cluster.add_margo("srv", node="n0", monitors=(StatisticsMonitor(),))
+    client = cluster.add_margo("cli", node="n1", monitors=(StatisticsMonitor(),))
+
+    def slow(ctx):
+        yield UltSleep(1e-3)
+        return ctx.args
+
+    server.register("slow", slow)
+    ult = cluster.spawn(client, client.forward(server.address, "slow", 1))
+    cluster.run(until=5e-4)
+    tracer = Tracer()
+    client.add_monitor(tracer)
+    server.add_monitor(tracer)
+    cluster.wait_ults([ult])
+    assert tracer.open_span_count == 0
+    assert {s.category for s in tracer.spans} == {"forward", "handler", "respond"}
+    # A later leak still shows.
+    tracer.start_span("lost", "manual", "srv", cluster.now)
+    assert tracer.open_span_count == 1
 
 
 def test_tracing_off_by_default():

@@ -14,10 +14,10 @@ import pytest
 from repro import Cluster
 from repro.bedrock import BedrockClient, boot_process
 from repro.margo.ult import Compute
+from repro.monitoring import StatisticsMonitor
 from repro.observability import ObservabilitySpec, Tracer
 from repro.observability.exporters import chrome_trace_profile
 from repro.observability.xray import (
-    EDGES_ATTR,
     XrayPlane,
     attribute_paths,
     candidate_for,
@@ -219,6 +219,48 @@ def test_record_segments_sum_to_total():
         assert phases[-1] == "respond"
         total = sum(s["duration"] for s in record["segments"])
         assert total == pytest.approx(record["total"], abs=1e-12)
+
+
+def test_path_recorded_when_server_is_not_profiled():
+    # The server runs only a Listing-1 monitor: the runtime still fills
+    # in the server half of the record, so the client records paths and
+    # the pool wait of a queued burst lands in ``sched``, not ``handler``.
+    cluster = Cluster(seed=7)
+    server = cluster.add_margo("srv", node="n0", monitors=(StatisticsMonitor(),))
+    client = cluster.add_margo("cli", node="n1", config={"observability": XRAY_OBS})
+
+    def handler(ctx):
+        yield Compute(5e-6)
+        return ctx.args
+
+    server.register("echo", handler)
+
+    def call(i):
+        return (yield from client.forward(server.address, "echo", i))
+
+    cluster.wait_ults([cluster.spawn(client, call(i)) for i in range(8)])
+    records = cluster.xray_plane().critical_paths()
+    assert len(records) == 8
+    phases = {s["phase"]: s for r in records for s in r["segments"]}
+    assert list(phases) == ["client_queue", "network", "sched", "handler", "respond"]
+    handler = [
+        s["duration"] for r in records for s in r["segments"] if s["phase"] == "handler"
+    ]
+    # Identical work per request: the queueing shows up elsewhere.
+    assert max(handler) - min(handler) < 1e-12
+    sched = [
+        s["duration"] for r in records for s in r["segments"] if s["phase"] == "sched"
+    ]
+    assert max(sched) > 5 * max(handler)
+    # No server profiler named the pool, so what-if proposes no add_xstream.
+    assert phases["sched"]["pool"] == ""
+    for record in records:
+        total = sum(s["duration"] for s in record["segments"])
+        assert total == pytest.approx(record["total"], abs=1e-12)
+
+
+def test_no_add_xstream_for_unnamed_pool():
+    assert candidate_for({"process": "srv", "pool": "", "phase": "sched"}) is None
 
 
 def test_no_xray_attr_when_disabled():
