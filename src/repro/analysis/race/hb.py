@@ -106,7 +106,7 @@ def _approx_reset() -> None:
 class Ctx:
     """One logical thread of causality (ULT / timer fire / root)."""
 
-    __slots__ = ("clock", "tid", "_label", "_borrowed", "_snap", "last_join")
+    __slots__ = ("clock", "tid", "_label", "_borrowed", "_snap", "last_join", "owner")
 
     def __init__(
         self,
@@ -130,6 +130,9 @@ class Ctx:
         #: identity match proves the re-join would be a no-op, and the
         #: hot push path skips it (see ``hooks.note_push``).
         self.last_join: Optional[dict[str, int]] = None
+        #: The :class:`HBState` that adopted this as a ULT's context
+        #: (see :meth:`HBState.adopt`); None for fire and root contexts.
+        self.owner: Optional["HBState"] = None
 
     @property
     def label(self) -> str:
@@ -238,8 +241,15 @@ class HBState:
         self.root = Ctx(label="root")
         self.root.tid = "root"
         self.root.clock["root"] = 1
-        #: id(ult) -> (ult, Ctx); the strong ref pins id() uniqueness.
+        #: id(ult) -> (ult, Ctx) of the ULTs that have a context and
+        #: have not finished; the strong ref pins id() uniqueness.  The
+        #: hooks reach a ULT's context through its ``_race_ctx`` slot;
+        #: this map only feeds :meth:`barrier_into_root`.
         self.ult_ctx: dict[int, tuple[Any, Ctx]] = {}
+        #: Pointwise max of the clocks of ULTs that finished since the
+        #: last barrier (:meth:`retire`), so finished ULTs cost no state.
+        self.finished: dict[str, int] = {}
+        self._folded: Optional[dict[str, int]] = None
         #: id(event/mutex) -> (obj, clock snapshot at last publication).
         self.sync_clock: dict[int, tuple[Any, dict[str, int]]] = {}
         #: (id(state), key) -> VarState; state objects pinned separately.
@@ -268,13 +278,34 @@ class HBState:
         return ctx.tid
 
     def ctx_for_ult(self, ult: Any) -> Ctx:
-        key = id(ult)
-        entry = self.ult_ctx.get(key)
-        if entry is None:
+        ctx = ult._race_ctx
+        if ctx is None or ctx.owner is not self:
             ctx = Ctx(label=ult)
-            self.ult_ctx[key] = (ult, ctx)
-            return ctx
-        return entry[1]
+            self.adopt(ult, ctx)
+        return ctx
+
+    def adopt(self, ult: Any, ctx: Ctx) -> None:
+        """Make ``ctx`` the context of live ``ult``.  A slot value owned
+        by an earlier session (before a ``reset()``) reads as absent."""
+        ctx.owner = self
+        ult._race_ctx = ctx
+        self.ult_ctx[id(ult)] = (ult, ctx)
+
+    def retire(self, ult: Any, ctx: Ctx) -> None:
+        """``ult`` finished: fold its final clock into :attr:`finished`
+        and drop its context."""
+        ult._race_ctx = None
+        self.ult_ctx.pop(id(ult), None)
+        clock = ctx.clock
+        # ULTs whose first push carried the same snapshot share that
+        # dict by identity, and snapshots are never mutated.
+        if clock is self._folded:
+            return
+        self._folded = clock
+        finished = self.finished
+        for tid, count in clock.items():
+            if count > finished.get(tid, 0):
+                finished[tid] = count
 
     def publish_to(self, obj: Any, ctx: Ctx) -> None:
         """Record ``ctx``'s publication on a sync object (event/mutex)."""
@@ -330,6 +361,9 @@ class HBState:
         every context of the finished run.
         """
         root = self.root
+        root.join(self.finished)
+        self.finished = {}
+        self._folded = None
         # Borrowed clocks make this loop mostly duplicates: every ULT
         # whose first push carried the same snapshot (e.g. the cached R
         # copy) shares that dict by identity, and joins are idempotent.

@@ -434,6 +434,15 @@ def make_race_post(plain: Any) -> Any:
     return _make_instrumented(plain)
 
 
+def note_finish(ult: Any) -> None:
+    """``ULT.finish``: retire the ULT's context (its clock folds into the
+    run's finished-clock accumulator), keeping detector state bounded
+    by the number of live ULTs."""
+    ctx = ult._race_ctx
+    if ctx is not None and ctx.owner is _STATE:
+        _STATE.retire(ult, ctx)
+
+
 def note_run_end() -> None:
     """End of ``SimKernel.run``: order the host after everything that ran."""
     _STATE.barrier_into_root()
@@ -489,14 +498,16 @@ def note_push(pool: Any, ult: Any) -> None:
         return
     state = _STATE
     if cur is not None:
-        entry = state.ult_ctx.get(id(cur))
-        ctx = entry[1] if entry is not None else state.ctx_for_ult(cur)
+        ctx = cur._race_ctx
+        if ctx is None or ctx.owner is not state:
+            ctx = state.ctx_for_ult(cur)
     elif _FIRE_WRAP is None:
         ctx = state.root
     else:
         ctx = _FIRE if _FIRE is not None else _fire_ctx()
-    entry = state.ult_ctx.get(id(ult))
-    target = entry[1] if entry is not None else None
+    target = ult._race_ctx
+    if target is not None and target.owner is not state:
+        target = None
     if target is not ctx:
         # Memo-first: in the steady state the publisher's cached epoch
         # snapshot is live and the target already joined it, so the
@@ -529,7 +540,7 @@ def note_push(pool: Any, ult: Any) -> None:
             # copies lazily if the ULT ever mutates it).
             target = Ctx(clock=snap, label=ult, borrowed=True)
             target.last_join = snap
-            state.ult_ctx[id(ult)] = (ult, target)
+            state.adopt(ult, target)
         elif target.last_join is not snap:
             target.join(snap)
             target.last_join = snap
@@ -553,8 +564,9 @@ def note_event_set(event: Any) -> None:
     cur = mod._CURRENT
     state = _STATE
     if cur is not None:
-        entry = state.ult_ctx.get(id(cur))
-        ctx = entry[1] if entry is not None else state.ctx_for_ult(cur)
+        ctx = cur._race_ctx
+        if ctx is None or ctx.owner is not state:
+            ctx = state.ctx_for_ult(cur)
     elif _FIRE_WRAP is None:
         ctx = state.root
     else:
@@ -643,7 +655,7 @@ def note_release(ult: Any, mutex: Any) -> None:
 
 
 def note_park(ult: Any, cmd: Any) -> None:
-    """``XStream._run_slice`` Park branch: wait-while-holding check."""
+    """``XStream._step`` Park branch: wait-while-holding check."""
     if cmd.timeout is not None:
         return
     entry = _LOCKS.held.get(id(ult))
@@ -768,8 +780,9 @@ def note_read(state: Any, key: Any, where: str) -> None:
     cur = mod._CURRENT
     hbstate = _STATE
     if cur is not None:
-        entry = hbstate.ult_ctx.get(id(cur))
-        ctx = entry[1] if entry is not None else hbstate.ctx_for_ult(cur)
+        ctx = cur._race_ctx
+        if ctx is None or ctx.owner is not hbstate:
+            ctx = hbstate.ctx_for_ult(cur)
     elif _FIRE_WRAP is None:
         ctx = hbstate.root
     else:

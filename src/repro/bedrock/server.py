@@ -20,8 +20,9 @@ Responsibilities implemented here:
 
 from __future__ import annotations
 
+from collections.abc import Generator
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import Any, Optional
 
 from ..core.component import Provider
 from ..margo.runtime import MargoInstance, RequestContext

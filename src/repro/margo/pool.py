@@ -47,9 +47,9 @@ class Pool:
         self._queue: deque[ULT] = deque()
         self._watchers: list["XStream"] = []
         # Precomputed pool->xstream dispatch route (P1): the wakeup
-        # events to poke on push, resolved once per attach/detach
+        # flags to poke on push, resolved once per attach/detach
         # instead of dereferencing every watcher per push.  ``_wake1``
-        # is the sole watcher's wakeup event (the common case: one
+        # is the sole watcher's wakeup flag (the common case: one
         # xstream per pool); ``_wakeN`` the multi-watcher tuple.
         self._wake1: Optional[Any] = None
         self._wakeN: tuple = ()
@@ -85,9 +85,8 @@ class Pool:
             # hottest call site in the system.
             ult.profile_enqueued_at = prof.kernel.now
         # Wake the serving xstream(s) over the precomputed route.  The
-        # already-set check mirrors SimEvent.set's idempotent early
-        # return (including its pre-race-hook position), skipping a call
-        # on the hottest site in the system.
+        # already-set check mirrors the flag's idempotent early return,
+        # skipping a call on the hottest site in the system.
         wake = self._wake1
         if wake is not None:
             if not wake._set:

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from collections.abc import Generator
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from ..analysis import sanitize as _sanitize
 from ..analysis.race import hooks as _race

@@ -17,8 +17,8 @@ Handlers and clients compose via plain ``yield from``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any, Callable, Generator, Optional
+from collections.abc import Generator
+from typing import Any, Callable, Optional
 
 from ..analysis import sanitize as _sanitize
 from ..analysis.race import hooks as _race
@@ -37,40 +37,55 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Compute:
     """Occupy the executing stream for ``duration`` simulated seconds."""
 
-    duration: float
+    __slots__ = ("duration",)
 
-    def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError(f"negative compute duration: {self.duration}")
+    def __init__(self, duration: float) -> None:
+        if duration < 0:
+            raise ValueError(f"negative compute duration: {duration}")
+        self.duration = duration
+
+    def __repr__(self) -> str:
+        return f"Compute(duration={self.duration!r})"
 
 
-@dataclass(frozen=True)
 class UltYield:
     """Cooperatively yield: requeue at the tail of the ULT's pool."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+    def __repr__(self) -> str:
+        return "UltYield()"
+
+
 class UltSleep:
     """Block for ``duration`` simulated seconds without occupying a stream."""
 
-    duration: float
+    __slots__ = ("duration",)
 
-    def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError(f"negative sleep duration: {self.duration}")
+    def __init__(self, duration: float) -> None:
+        if duration < 0:
+            raise ValueError(f"negative sleep duration: {duration}")
+        self.duration = duration
+
+    def __repr__(self) -> str:
+        return f"UltSleep(duration={self.duration!r})"
 
 
-@dataclass(frozen=True)
 class Park:
     """Block until ``event`` is set (resumed with the payload), or until
     ``timeout`` simulated seconds pass (resumed with :data:`TIMED_OUT`)."""
 
-    event: "UltEvent"
-    timeout: Optional[float] = None
+    __slots__ = ("event", "timeout")
+
+    def __init__(self, event: "UltEvent", timeout: Optional[float] = None) -> None:
+        self.event = event
+        self.timeout = timeout
+
+    def __repr__(self) -> str:
+        return f"Park(event={self.event!r}, timeout={self.timeout!r})"
 
 
 class UltState(enum.Enum):
@@ -107,6 +122,7 @@ class ULT:
         "_resume_value",
         "_resume_exc",
         "_park_token",
+        "_race_ctx",
     )
 
     def __init__(self, gen: UltGen, name: str = "", pool: Any = None) -> None:
@@ -130,6 +146,8 @@ class ULT:
         self._resume_value: Any = None
         self._resume_exc: Optional[BaseException] = None
         self._park_token = 0
+        # The race detector's context for this ULT (hooks only).
+        self._race_ctx: Any = None
 
     def ready(self, value: Any = None, exc: Optional[BaseException] = None) -> None:
         """Make the ULT runnable again with the given resumption value."""
@@ -157,6 +175,8 @@ class ULT:
             self.done_event.set(error if error is not None else result)
         for callback in self.on_finish:
             callback(self)
+        if _race.ENABLED:
+            _race.note_finish(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<ULT {self.name} {self.state.value}>"

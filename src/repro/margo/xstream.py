@@ -1,10 +1,18 @@
 """Execution streams (xstreams): the OS threads of the Argobots model.
 
-Each :class:`XStream` is a kernel task that repeatedly picks a ULT from
-its scheduler's pools (in priority order, like the "basic" Argobots
-scheduler) and runs it until the ULT yields.  ``Compute`` commands make
-the stream itself busy for simulated time, which is how CPU contention
-between providers sharing a stream (paper Fig. 2) arises.
+Each :class:`XStream` repeatedly picks a ULT from its scheduler's pools
+(in priority order, like the "basic" Argobots scheduler) and runs it
+until the ULT yields.  ``Compute`` commands make the stream itself busy
+for simulated time, which is how CPU contention between providers
+sharing a stream (paper Fig. 2) arises.
+
+A stream is not a kernel task: it is driven directly by kernel
+callbacks.  Its bound ``_resume`` is posted to the kernel to start it,
+when a ``Compute`` ends, and when a pool push wakes it from idle; each
+call runs ULT slices until the stream has nothing to do or is busy
+computing.  Every post happens where, and with the delay, the former
+generator task posted its own resume, so the ``(deadline, seq)``
+schedule is the same (DESIGN.md §9, "Direct-drive execution streams").
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from typing import Any, Optional
 
 from ..analysis import sanitize as _sanitize
 from ..analysis.race import hooks as _race
-from ..sim.kernel import SimKernel, Sleep, WaitEvent
+from ..sim.kernel import SimKernel
 from .errors import ConfigError
 from .pool import Pool
 from .ult import ULT, Compute, Park, UltSleep, UltState, UltYield, _set_current
@@ -28,8 +36,42 @@ SCHEDULER_TYPES = ("basic", "basic_wait", "prio")
 SCHED_OVERHEAD = 20e-9
 
 
+class _Wakeup:
+    """An xstream's "work may be available" flag.
+
+    ``Pool.push`` reads ``_set`` and calls :meth:`set` only while it is
+    clear.  The flag posts the stream's resume only while the stream is
+    idle; a busy stream finds the work on its next pick.
+    """
+
+    __slots__ = ("kernel", "_resume", "_set", "_idle")
+
+    def __init__(self, kernel: SimKernel, resume: Any) -> None:
+        self.kernel = kernel
+        self._resume = resume
+        self._set = False
+        # True only while the stream waits for work (no resume pending).
+        self._idle = False
+
+    def set(self) -> None:
+        if self._set:
+            return
+        self._set = True
+        if self._idle:
+            self._idle = False
+            self.kernel.post(0.0, self._resume)
+
+
 class XStream:
-    """An execution stream pulling ULTs from an ordered list of pools."""
+    """An execution stream pulling ULTs from an ordered list of pools.
+
+    An exception that escapes the scheduler itself -- not a ULT's own
+    error, which ends in ``ult.finish(error=...)``, but say an
+    ``on_finish`` callback that raises -- propagates out of
+    ``kernel.run()``, like a non-daemon task failure.  The stream
+    re-arms first, so a caller that handles the error and runs the
+    kernel again finds it still serving its pools.
+    """
 
     def __init__(
         self,
@@ -50,9 +92,13 @@ class XStream:
         self.name = name
         self.scheduler = scheduler
         self.pools: list[Pool] = list(pools)
-        self._wakeup = kernel.event(name=f"xstream:{name}")
+        # Bound once: every start, Compute end and idle wake posts it.
+        self._resume = self._run
+        self._wakeup = _Wakeup(kernel, self._resume)
         self._stopping = False
-        self._task = None
+        self._started = False
+        # The ULT whose slice is in progress, including while it
+        # computes; None between slices.
         self.current_ult: Optional[ULT] = None
         # Counters for monitoring/benchmarks.
         self.slices_run = 0
@@ -65,9 +111,10 @@ class XStream:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        if self._task is not None:
+        if self._started:
             raise RuntimeError(f"xstream {self.name} already started")
-        self._task = self.kernel.spawn(self._loop(), name=f"xstream:{self.name}", daemon=True)
+        self._started = True
+        self.kernel.post(0.0, self._resume)
 
     def stop(self) -> None:
         """Ask the stream to exit after the current slice."""
@@ -119,91 +166,108 @@ class XStream:
                 return ult
         return None
 
-    def _loop(self):
-        while not self._stopping:
-            ult = self._pick()
-            if ult is None:
-                self._wakeup.clear()
-                yield WaitEvent(self._wakeup)
-                continue
-            yield from self._run_slice(ult)
-
-    def _run_slice(self, ult: ULT):
-        """Run ``ult`` until it blocks, yields, or finishes."""
-        self.slices_run += 1
-        self.current_ult = ult
-        ult.state = UltState.RUNNING
-        value = ult._resume_value
-        exc = ult._resume_exc
-        ult._resume_value = None
-        ult._resume_exc = None
+    def _run(self) -> None:
+        """Kernel callback: run ULT slices until the stream goes idle,
+        starts a ``Compute`` or stops.  A stream that is mid-slice
+        (``current_ult`` set) was computing and resumes that ULT first."""
         try:
-            while True:
-                try:
-                    _set_current(ult)
-                    if exc is not None:
-                        cmd = ult.gen.throw(exc)
-                        exc = None
-                    else:
-                        cmd = ult.gen.send(value)
-                    value = None
-                except StopIteration as stop:
-                    self.ults_finished += 1
-                    ult.finish(result=stop.value)
+            ult = self.current_ult
+            if ult is not None and self._step(ult, None, None):
+                return
+            while not self._stopping:
+                ult = self._pick()
+                if ult is None:
+                    wakeup = self._wakeup
+                    wakeup._set = False
+                    wakeup._idle = True
                     return
-                except BaseException as err:  # noqa: BLE001 - ULT failure path
-                    self.ults_finished += 1
-                    ult.finish(error=err)
+                self.slices_run += 1
+                self.current_ult = ult
+                ult.state = UltState.RUNNING
+                value = ult._resume_value
+                exc = ult._resume_exc
+                ult._resume_value = None
+                ult._resume_exc = None
+                if self._step(ult, value, exc):
                     return
-                finally:
-                    _set_current(None)
-                # This dispatch runs once per ULT step across every RPC
-                # in the system; isinstance on these frozen dataclasses
-                # is cheap, but the UltSleep wakeup is a bound method
-                # (no closure per sleep).
-                if isinstance(cmd, Compute):
-                    self.busy_time += cmd.duration
-                    yield Sleep(cmd.duration + SCHED_OVERHEAD)
-                    continue
-                if isinstance(cmd, Park):
-                    if _sanitize.ENABLED:
-                        # A strict violation fails the offending ULT (via
-                        # gen.throw on the next loop turn), not the stream.
-                        try:
-                            _sanitize.check_blocking_yield(ult, cmd)
-                        except AssertionError as err:
-                            exc = err
-                            continue
-                    if _race.ANY_HELD and cmd.timeout is None:
-                        # MCH041 needs an unbounded park *while holding
-                        # a mutex*: timeout'd parks are bounded waits by
-                        # construction, and ANY_HELD (maintained by the
-                        # acquire/release hooks) is False in a lock-free
-                        # phase -- the common case pays one attribute
-                        # load here instead of a hook call.
-                        _race.note_park(ult, cmd)
-                    cmd.event._park(ult, cmd.timeout)
-                    return
-                if isinstance(cmd, UltSleep):
-                    if _sanitize.ENABLED:
-                        try:
-                            _sanitize.check_blocking_yield(ult, cmd)
-                        except AssertionError as err:
-                            exc = err
-                            continue
-                    ult.state = UltState.BLOCKED
-                    self.kernel.post(cmd.duration, ult._timed_ready, ult._park_token)
-                    return
-                if isinstance(cmd, UltYield):
-                    ult.pool.push(ult)
-                    return
-                # Unknown command: surface as a ULT error.
-                exc = TypeError(
-                    f"ULT {ult.name!r} yielded unsupported command {cmd!r}; "
-                    "ULTs may yield Compute, UltYield, UltSleep, or Park"
-                )
-        finally:
+        except BaseException:
+            # Not a ULT failure (those end in ult.finish): surface it
+            # from kernel.run(), re-armed for a later run (class doc).
             self.current_ult = None
+            if not self._stopping:
+                self.kernel.post(0.0, self._resume)
+            raise
+
+    def _step(self, ult: ULT, value: Any, exc: Optional[BaseException]) -> bool:
+        """Run ``ult`` until it blocks, yields, finishes or computes.
+
+        True means it is computing: the stream resumes it when the
+        ``Compute`` timer fires.  False ends the slice.
+        """
+        gen = ult.gen
+        while True:
+            try:
+                _set_current(ult)
+                if exc is not None:
+                    cmd = gen.throw(exc)
+                    exc = None
+                else:
+                    cmd = gen.send(value)
+                value = None
+            except StopIteration as stop:
+                self.ults_finished += 1
+                ult.finish(result=stop.value)
+                break
+            except BaseException as err:  # noqa: BLE001 - ULT failure path
+                self.ults_finished += 1
+                ult.finish(error=err)
+                break
+            finally:
+                _set_current(None)
+            # Runs once per ULT step across every RPC in the system.
+            if isinstance(cmd, Compute):
+                self.busy_time += cmd.duration
+                self.kernel.post(cmd.duration + SCHED_OVERHEAD, self._resume)
+                return True
+            if isinstance(cmd, Park):
+                if _sanitize.ENABLED:
+                    # A strict violation fails the offending ULT (via
+                    # gen.throw on the next loop turn), not the stream.
+                    try:
+                        _sanitize.check_blocking_yield(ult, cmd)
+                    except AssertionError as err:
+                        exc = err
+                        continue
+                if _race.ANY_HELD and cmd.timeout is None:
+                    # MCH041 needs an unbounded park *while holding
+                    # a mutex*: timeout'd parks are bounded waits by
+                    # construction, and ANY_HELD (maintained by the
+                    # acquire/release hooks) is False in a lock-free
+                    # phase -- the common case pays one attribute
+                    # load here instead of a hook call.
+                    _race.note_park(ult, cmd)
+                cmd.event._park(ult, cmd.timeout)
+                break
+            if isinstance(cmd, UltSleep):
+                if _sanitize.ENABLED:
+                    try:
+                        _sanitize.check_blocking_yield(ult, cmd)
+                    except AssertionError as err:
+                        exc = err
+                        continue
+                ult.state = UltState.BLOCKED
+                self.kernel.post(cmd.duration, ult._timed_ready, ult._park_token)
+                break
+            if isinstance(cmd, UltYield):
+                ult.pool.push(ult)
+                break
+            # Unknown command: surface as a ULT error.
+            exc = TypeError(
+                f"ULT {ult.name!r} yielded unsupported command {cmd!r}; "
+                "ULTs may yield Compute, UltYield, UltSleep, or Park"
+            )
+        self.current_ult = None
+        return False
 
     # ------------------------------------------------------------------
     def sample(self) -> dict[str, float]:

@@ -51,9 +51,10 @@ from __future__ import annotations
 
 import heapq
 import os
+from collections.abc import Generator
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 __all__ = [
     "SimKernel",
@@ -178,8 +179,8 @@ class SimEvent:
         No race-layer publication here: a ``SimEvent``'s waiters are
         plain callbacks on sim-layer tasks, never race contexts --
         ULT-visible happens-before flows through ``UltEvent.set`` and
-        the pool-push edge, so publishing from every xstream wakeup
-        signal would be pure detector overhead with no consumer.
+        the pool-push edge, so publishing here would be pure detector
+        overhead with no consumer.
         """
         if self._set:
             return

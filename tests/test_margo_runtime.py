@@ -370,6 +370,43 @@ def test_reconfigure_while_serving(cluster):
     assert "late" in server.pools
 
 
+def test_scheduler_exception_surfaces_and_stream_keeps_serving(cluster):
+    """An exception that escapes the scheduler (here an ``on_finish``
+    callback, not the ULT body) must fail ``run()`` instead of silently
+    killing the xstream -- which would leave the progress loop, and so
+    the whole process, deaf."""
+    server, client = two_procs(cluster)
+    server.register("echo", lambda ctx: ctx.args)
+
+    def quick():
+        yield Compute(1e-6)
+
+    def explode(_ult):
+        raise RuntimeError("on_finish failed")
+
+    server.spawn_ult(quick(), name="bad-callback").on_finish.append(explode)
+    with pytest.raises(RuntimeError, match="on_finish failed"):
+        cluster.run()
+
+    def driver():
+        return (yield from client.forward(server.address, "echo", 42))
+
+    assert cluster.run_ult(client, driver()) == 42
+
+
+def test_ult_exception_still_ends_in_finish(cluster):
+    server, _ = two_procs(cluster)
+
+    def failing():
+        yield Compute(1e-6)
+        raise ValueError("handler bug")
+
+    ult = server.spawn_ult(failing(), name="failing")
+    cluster.run()
+    assert isinstance(ult.error, ValueError)
+    assert server.xstreams["__primary__"].ults_finished >= 1
+
+
 # ----------------------------------------------------------------------
 # lifecycle
 # ----------------------------------------------------------------------

@@ -231,3 +231,41 @@ def test_same_seed_reports_identically(race):
     ULT._counter = start
     second = run_once()
     assert first == second and first  # byte-identical report, same seed
+
+
+# ----------------------------------------------------------------------
+# bounded per-ULT state
+# ----------------------------------------------------------------------
+def test_detector_state_bounded_by_live_ults(race):
+    # Finished ULTs fold their clocks into one run-level accumulator
+    # instead of each keeping a context, however many RPCs run.
+    cluster = Cluster(seed=13)
+    server = cluster.add_margo("server", node="n0")
+    client = cluster.add_margo("client", node="n1")
+    server.register("echo", lambda ctx: ctx.args)
+
+    def driver(n):
+        for i in range(n):
+            yield from client.forward(server.address, "echo", i)
+
+    sizes = []
+    for _ in range(2):
+        cluster.run_ult(client, driver(200))
+        sizes.append(len(race._STATE.ult_ctx))
+    assert sizes[0] == sizes[1] <= 2  # the two progress loops
+    assert race.findings == []
+
+
+def test_context_from_before_reset_is_ignored(race):
+    from repro.margo.ult import ULT
+
+    def body():
+        yield UltSleep(0.0)
+
+    ult = ULT(body(), name="survivor")
+    stale = race._STATE.ctx_for_ult(ult)
+    assert race._STATE.ctx_for_ult(ult) is stale
+    race.reset()
+    fresh = race._STATE.ctx_for_ult(ult)
+    assert fresh is not stale
+    assert fresh.owner is race._STATE
