@@ -125,18 +125,18 @@ def load_trajectory(path: str):
 OBS_OFF = {"observability": {"tracing": False, "metrics": False}}
 
 
-def bench_kernel_swarm(n_tasks: int, n_steps: int, backend: str | None = None) -> dict:
+def bench_kernel_swarm(n_tasks: int, n_steps: int) -> dict:
     """The P0 kernel workload: a swarm of sleeping tasks driven by
     ``run(until_tasks=...)`` plus a same-timestamp timer fan.
 
     This is the shape every Margo deployment produces: many live tasks
     (xstreams, progress loops, drivers) with the kernel asked to detect
     completion of a subset, and bursts of timers landing on identical
-    deadlines (the wheel's bucket-drain fast path).
+    deadlines (one heap entry and its run).
     """
     from repro.sim.kernel import SimKernel, Sleep
 
-    kernel = SimKernel(backend)
+    kernel = SimKernel()
 
     def worker(i: int):
         for step in range(n_steps):

@@ -1,18 +1,15 @@
-"""P1 raw-speed round: wheel-kernel speedup and off-path freedom gates.
+"""P1 raw-speed round: kernel speedup and off-path freedom gates.
 
-The P1 rewrite replaced the kernel's binary heap with a bucketed timer
-wheel (flat event slots, free-listed buckets, an overflow far-list with
-lazy span resize) and precomputed the pool->xstream dispatch routes.
-This suite prices the result and pins it in ``BENCH_P1.json``:
+The P1 round made the kernel's event set allocation-light and
+precomputed the pool->xstream dispatch routes; the event set is now one
+binary heap of same-deadline runs (DESIGN.md §9).  This suite prices the
+result and pins it in ``BENCH_P1.json``:
 
-* ``kernel_wheel`` / ``kernel_heap`` -- events/sec of the discrete-event
-  core on both backends.  The headline gate compares the wheel against
-  the *pinned* ``BENCH_P0.json`` rate (the heap kernel as it was before
-  this round): >= 1.5x in full runs, >= 1.4x in ``--gate`` runs (CI
-  runners are slower and noisier than the machine that pinned P0).  The
-  same-run ``wheel_vs_heap`` paired ratio is reported alongside; it
-  understates the rewrite because the heap backend also received the
-  flat-slot and free-list work.
+* ``kernel`` -- events/sec of the discrete-event core on the swarm
+  workload.  The headline gate compares it against the *pinned*
+  ``BENCH_P0.json`` rate (the heap kernel as it was before this round):
+  >= 1.5x in full runs, >= 1.4x in ``--gate`` runs (CI runners are
+  slower and noisier than the machine that pinned P0).
 
 * off-path arms -- the P1 acceptance bar says instrumented-but-off runs
   stay within 1.02x of plain runs, *measured same-run and paired* (the
@@ -38,15 +35,17 @@ This suite prices the result and pins it in ``BENCH_P1.json``:
   in smoke runs).
 
 * golden equality -- a seeded mixed workload (near/far/same-deadline/
-  cancelled timers plus a sleeping task) must produce a byte-identical
-  fire trace on both backends.  Checked on every run, including smoke.
+  cancelled timers plus a sleeping task) must fire a byte-identical
+  trace on the kernel and on the reference event set of
+  ``tests/kernel_reference.py`` (a plain binary heap of single events).
+  Checked on every run, including smoke.
 
 Gates (enforced in full and ``--gate`` runs, exit 1 on failure):
 
-* wheel >= 1.5x pinned P0 events/sec (1.4x under ``--gate``);
+* kernel >= 1.5x pinned P0 events/sec (1.4x under ``--gate``);
 * each off-path arm within 1.02x (paired median AND best-wall must not
   both exceed it), plus the structural restoration check;
-* wheel and heap golden traces identical.
+* kernel and reference golden traces identical.
 
 Results land in ``benchmarks/results/P1_speed.json`` and the repo-root
 ``BENCH_P1.json``.
@@ -70,6 +69,8 @@ import random
 import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
+# The reference event set lives with the tests that also use it.
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
 
 from _harness import (  # noqa: E402
     OBS_OFF,
@@ -81,6 +82,7 @@ from _harness import (  # noqa: E402
     run_rounds,
 )
 from common import print_table, save_results  # noqa: E402
+from kernel_reference import ReferenceKernel  # noqa: E402
 
 from repro.analysis.race import hooks  # noqa: E402
 from repro.sim import SimKernel, Sleep  # noqa: E402
@@ -109,15 +111,19 @@ OBS_EXPLICIT_OFF = {
 
 
 # ----------------------------------------------------------------------
-# golden wheel-vs-heap equality
+# golden equality against the reference event set
 # ----------------------------------------------------------------------
-def _golden_trace(backend: str, seed: int = 1234) -> list:
+#: Deadline spread of the golden workload, in simulated seconds.
+GOLDEN_SPAN = 1e-3
+
+
+def _golden_trace(make_kernel, seed: int = 1234) -> list:
     """A seeded storm of near, far, same-deadline, and cancelled timers
     plus a sleeping task -- the same shape tests/test_kernel_wheel.py
     pins, sized down for a per-run assertion."""
     rng = random.Random(seed)
-    kernel = SimKernel(backend)
-    span = kernel_mod._WHEEL_SPAN
+    kernel = make_kernel()
+    span = GOLDEN_SPAN
     log = []
 
     def note(tag):
@@ -150,7 +156,7 @@ def _golden_trace(backend: str, seed: int = 1234) -> list:
 
 
 def golden_traces_equal() -> bool:
-    return _golden_trace("wheel") == _golden_trace("heap")
+    return _golden_trace(SimKernel) == _golden_trace(ReferenceKernel)
 
 
 # ----------------------------------------------------------------------
@@ -193,8 +199,7 @@ def run_suite(params: dict) -> dict:
     kernel_args = (params["n_tasks"], params["n_steps"])
     n_rpcs = params["n_rpcs"]
     results, rounds = run_rounds(params["repeats"], {
-        "kernel_wheel": lambda: bench_kernel_swarm(*kernel_args, backend="wheel"),
-        "kernel_heap": lambda: bench_kernel_swarm(*kernel_args, backend="heap"),
+        "kernel": lambda: bench_kernel_swarm(*kernel_args),
         "rpc_base": lambda: bench_rpc_echo(n_rpcs, OBS_OFF),
         "rpc_race_cycled": lambda: _rpc_race_cycled(n_rpcs),
         "rpc_explicit_off": lambda: bench_rpc_echo(n_rpcs, OBS_EXPLICIT_OFF),
@@ -206,12 +211,9 @@ def run_suite(params: dict) -> dict:
 
 def _comparison(results: dict, p0: dict | None, min_speedup: float) -> dict:
     rounds = results["rounds"]
-    wheel_rate = results["kernel_wheel"]["events_per_sec"]
+    kernel_rate = results["kernel"]["events_per_sec"]
     comparison = {
-        "wheel_events_per_sec": wheel_rate,
-        "heap_events_per_sec": results["kernel_heap"]["events_per_sec"],
-        # Same-run paired wall ratio: >1 means the wheel is faster.
-        "wheel_vs_heap": paired_ratio(rounds, "kernel_heap", "kernel_wheel"),
+        "kernel_events_per_sec": kernel_rate,
         # Two statistics per off arm: the paired-round median and the
         # best-wall ratio (min over every sample of both arms).  A real
         # leak inflates both; noise rarely inflates both.
@@ -230,16 +232,14 @@ def _comparison(results: dict, p0: dict | None, min_speedup: float) -> dict:
         p0_rate = p0.get("current", {}).get("kernel", {}).get("events_per_sec")
         if p0_rate:
             comparison["p0_events_per_sec"] = p0_rate
-            comparison["speedup_vs_p0"] = wheel_rate / p0_rate
+            comparison["speedup_vs_p0"] = kernel_rate / p0_rate
     return comparison
 
 
 def _kernel_rows(comparison: dict) -> list[dict]:
     return [{
         "bench": "kernel",
-        "wheel_rate": comparison["wheel_events_per_sec"],
-        "heap_rate": comparison["heap_events_per_sec"],
-        "wheel_vs_heap": comparison["wheel_vs_heap"],
+        "rate": comparison["kernel_events_per_sec"],
         "speedup_vs_p0": comparison.get("speedup_vs_p0"),
     }]
 
@@ -256,14 +256,14 @@ def _check_gates(
 ) -> list[str]:
     failures = list(leaks)
     if not traces_equal:
-        failures.append("golden wheel-vs-heap traces differ")
+        failures.append("golden kernel-vs-reference traces differ")
     speedup = comparison.get("speedup_vs_p0")
     min_speedup = comparison["kernel_min_speedup"]
     if speedup is None:
         failures.append("BENCH_P0.json pinned kernel rate missing")
     elif speedup < min_speedup:
         failures.append(
-            f"kernel: wheel speedup {speedup:.2f}x < {min_speedup:.1f}x pinned P0"
+            f"kernel: speedup {speedup:.2f}x < {min_speedup:.1f}x pinned P0"
         )
     for arm, ratios in comparison["off_path_ratios"].items():
         if all(r > OFF_PATH_MAX_RATIO for r in ratios.values()):
@@ -292,7 +292,7 @@ def main(argv: list[str]) -> int:
         for leak in leaks:
             print(f"GATE FAILED: {leak}")
         if not traces_equal:
-            print("GATE FAILED: golden wheel-vs-heap traces differ")
+            print("GATE FAILED: golden kernel-vs-reference traces differ")
         if leaks or not traces_equal:
             return 1
         print("p1-speed smoke OK")
@@ -313,15 +313,13 @@ def main(argv: list[str]) -> int:
         trajectory = {
             "experiment": "P1_speed",
             "description": (
-                "P1 bucketed timer-wheel kernel vs the pinned BENCH_P0.json "
-                "heap baseline on the identical swarm workload, plus the "
-                "same-run paired off-path freedom gates (race detector "
-                "cycled off, explicit-off observability config).  "
-                "'speedup_vs_p0' divides the wheel backend's best "
-                "events/sec by the pinned P0 rate; 'wheel_vs_heap' is the "
-                "same-run paired wall ratio (the in-repo heap fallback "
-                "also carries the P1 flat-slot work, so it understates "
-                "the rewrite).  Off-path arms report two statistics "
+                "The kernel's event set (a binary heap of same-deadline "
+                "runs) vs the pinned BENCH_P0.json heap baseline on the "
+                "identical swarm workload, plus the same-run paired "
+                "off-path freedom gates (race detector cycled off, "
+                "explicit-off observability config).  'speedup_vs_p0' "
+                "divides the kernel's best events/sec by the pinned P0 "
+                "rate.  Off-path arms report two statistics "
                 "(median of paired per-round wall ratios from "
                 "palindrome-ordered rounds, and the best-wall ratio); "
                 "the gate trips when both exceed 1.02 -- a real leak "
@@ -355,10 +353,7 @@ def test_p1_speed_smoke():
     assert golden_traces_equal()
     assert structural_leaks() == []
     results = run_suite(SMOKE)
-    assert results["kernel_wheel"]["events"] > 0
-    assert results["kernel_wheel"]["events"] == results["kernel_heap"]["events"]
-    # Backend choice must not change simulated time, only wall time.
-    assert results["kernel_wheel"]["sim_time"] == results["kernel_heap"]["sim_time"]
+    assert results["kernel"]["events"] > 0
     assert results["rpc_base"]["rpcs"] == SMOKE["n_rpcs"]
     assert results["rpc_race_cycled"]["sim_time"] == results["rpc_base"]["sim_time"]
 

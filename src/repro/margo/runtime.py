@@ -22,6 +22,7 @@ import json
 from collections import deque
 from collections.abc import Generator
 from dataclasses import dataclass
+from types import GeneratorType
 from typing import Any, Callable, Iterable, Optional
 
 from ..analysis import sanitize as _sanitize
@@ -803,7 +804,7 @@ class MargoInstance:
         error_message: Optional[str] = None
         try:
             result = registration.handler(context)
-            if isinstance(result, Generator):
+            if type(result) is GeneratorType or isinstance(result, Generator):
                 result = yield from result
             value = result
         except Exception as err:  # noqa: BLE001 - handler error -> error response

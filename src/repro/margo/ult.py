@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Generator
+from types import GeneratorType
 from typing import Any, Callable, Optional
 
 from ..analysis import sanitize as _sanitize
 from ..analysis.race import hooks as _race
 from ..sim.kernel import SimKernel, TIMED_OUT
+
+_INF = float("inf")
 
 __all__ = [
     "Compute",
@@ -43,8 +46,10 @@ class Compute:
     __slots__ = ("duration",)
 
     def __init__(self, duration: float) -> None:
-        if duration < 0:
-            raise ValueError(f"negative compute duration: {duration}")
+        if not 0.0 <= duration < _INF:
+            raise ValueError(
+                f"compute duration must be finite and non-negative, got {duration}"
+            )
         self.duration = duration
 
     def __repr__(self) -> str:
@@ -66,8 +71,10 @@ class UltSleep:
     __slots__ = ("duration",)
 
     def __init__(self, duration: float) -> None:
-        if duration < 0:
-            raise ValueError(f"negative sleep duration: {duration}")
+        if not 0.0 <= duration < _INF:
+            raise ValueError(
+                f"sleep duration must be finite and non-negative, got {duration}"
+            )
         self.duration = duration
 
     def __repr__(self) -> str:
@@ -126,7 +133,7 @@ class ULT:
     )
 
     def __init__(self, gen: UltGen, name: str = "", pool: Any = None) -> None:
-        if not isinstance(gen, Generator):
+        if type(gen) is not GeneratorType and not isinstance(gen, Generator):
             raise TypeError(f"ULT body must be a generator, got {type(gen).__name__}")
         ULT._counter += 1
         self.gen = gen
@@ -342,11 +349,6 @@ def ult_sleep(duration: float) -> UltGen:
 # parent_provider_id).
 # ----------------------------------------------------------------------
 _CURRENT: Optional[ULT] = None
-
-
-def _set_current(ult: Optional[ULT]) -> None:
-    global _CURRENT
-    _CURRENT = ult
 
 
 def current_ult() -> Optional[ULT]:

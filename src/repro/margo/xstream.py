@@ -24,7 +24,8 @@ from ..analysis.race import hooks as _race
 from ..sim.kernel import SimKernel
 from .errors import ConfigError
 from .pool import Pool
-from .ult import ULT, Compute, Park, UltSleep, UltState, UltYield, _set_current
+from . import ult as _ult
+from .ult import ULT, Compute, Park, UltSleep, UltState, UltYield
 
 __all__ = ["XStream", "SCHEDULER_TYPES"]
 
@@ -207,7 +208,9 @@ class XStream:
         gen = ult.gen
         while True:
             try:
-                _set_current(ult)
+                # The current-ULT slot of repro.margo.ult, written
+                # directly: two calls per generator step add up.
+                _ult._CURRENT = ult
                 if exc is not None:
                     cmd = gen.throw(exc)
                     exc = None
@@ -223,9 +226,10 @@ class XStream:
                 ult.finish(error=err)
                 break
             finally:
-                _set_current(None)
-            # Runs once per ULT step across every RPC in the system.
-            if isinstance(cmd, Compute):
+                _ult._CURRENT = None
+            # Runs once per ULT step across every RPC in the system; the
+            # exact-type test skips isinstance for the common command.
+            if type(cmd) is Compute or isinstance(cmd, Compute):
                 self.busy_time += cmd.duration
                 self.kernel.post(cmd.duration + SCHED_OVERHEAD, self._resume)
                 return True

@@ -16,22 +16,18 @@ This module is the hottest code in the repository -- every RPC, ULT
 slice, and timer in every component turns into events here -- so the
 implementation favors the wall-clock fast path:
 
-* the default event structure is a **calendar queue / bucketed timer
-  wheel** (P1): a dict keyed by exact deadline maps to a flat
-  ``[callback, arg, callback, arg, ...]`` slot list, a small min-heap
-  orders only the *distinct* deadlines, and deadlines beyond the wheel
-  horizon overflow to a far-list that migrates in bulk when the wheel
-  drains toward it.  Timestamps cluster at batch boundaries (the P0
-  same-timestamp batch drain proved it), so pushing into an existing
-  bucket is O(1) -- two list appends -- and the heap is touched once per
-  distinct time, not once per event.  Within a bucket, FIFO append
-  order *is* ``seq`` order, so the schedule is bit-identical to the
-  binary-heap backend (kept as ``SIM_KERNEL=heap``);
+* the event set is **one binary heap of same-deadline runs**.  A heap
+  entry is a ``(deadline, seq, obj, tag)`` tuple.  An event whose
+  deadline equals that of the most recently pushed entry, and lies
+  strictly after ``now``, joins that entry's *run* -- a flat
+  ``[obj, tag, obj, tag, ...]`` list keyed by the entry's seq -- instead
+  of being pushed.  Distinct-deadline RPC traffic pays one heap tuple;
+  same-deadline fans (timer bursts, batch boundaries) cost two list
+  appends per event.  A run holds consecutive seqs, so firing entries in
+  ``(deadline, seq)`` order and each run in list order fires every event
+  in exact ``(deadline, seq)`` order;
 * :meth:`SimKernel.post` is the no-handle fast path used by the task
-  resume machinery: no :class:`Timer` object, no tuple, no closure --
-  the callback and its argument go straight into the flat slot list
-  (drained bucket lists are recycled through a free-list, so the steady
-  state allocates nothing per event);
+  resume machinery: no :class:`Timer` object and no closure;
 * timers carry a callable plus an optional argument slot, so the task
   resume paths schedule *bound methods* instead of allocating a closure
   per event;
@@ -40,20 +36,19 @@ implementation favors the wall-clock fast path:
   every event;
 * cancelled timers are compacted out once they outnumber half the queue,
   so mass cancellation (e.g. per-RPC timeout timers) cannot hold memory
-  hostage.  Compaction preserves each entry's position in its bucket
-  (wheel) or its ``(deadline, seq)`` key (heap), so event order is
-  bit-identical with or without it.
+  hostage.  Compaction keeps every entry's ``(deadline, seq)`` key and
+  every run's order, so event order is bit-identical with or without it.
 
-See DESIGN.md §9 for the wheel layout and the determinism argument.
+Delays, durations and deadlines must be finite and not before ``now``;
+NaN and infinity are rejected with the same ``ValueError`` as negative
+values.  See DESIGN.md §9 for the determinism argument.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from collections.abc import Generator
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Any, Callable, Iterable, Optional
 
 __all__ = [
@@ -65,8 +60,9 @@ __all__ = [
     "SimEvent",
     "SimulationError",
     "DeadlockError",
-    "KERNEL_BACKENDS",
 ]
+
+_INF = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -84,8 +80,10 @@ class Sleep:
     duration: float
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError(f"negative sleep duration: {self.duration}")
+        if not 0.0 <= self.duration < _INF:
+            raise ValueError(
+                f"sleep duration must be finite and non-negative, got {self.duration}"
+            )
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,7 @@ TIMED_OUT = _TimedOut()
 #: Sentinel for "timer fires ``fn()`` with no argument".
 _NO_ARG = object()
 
-#: Slot-array tag: the paired slot holds a cancellable :class:`Timer`
+#: Event tag: the paired slot holds a cancellable :class:`Timer`
 #: (``schedule``/``schedule_at``), not a bare ``post`` callback.
 _IS_TIMER = object()
 
@@ -124,22 +122,8 @@ _IS_TIMER = object()
 #: half the queue before the structure is rebuilt without them.
 _COMPACT_MIN_CANCELLED = 64
 
-#: Initial wheel horizon width in simulated seconds.  Deadlines past the
-#: horizon overflow to the far-list; the span doubles lazily when
-#: migrations keep coming up near-empty (the wheel was too narrow for
-#: the workload's deadline spread).
-_WHEEL_SPAN = 1e-3
-
-#: A near-empty migration (fewer than this many entries moved while more
-#: remain far) doubles the span.
-_RESIZE_MIN_MOVED = 8
-
-#: Recycled bucket lists kept for reuse (steady state: zero list churn).
-_FREELIST_MAX = 64
-
-KERNEL_BACKENDS = ("wheel", "heap")
-
-_far_deadline = itemgetter(0)
+#: ``_last_deadline`` when no entry may be joined (deadlines are >= 0).
+_NO_DEADLINE = -1.0
 
 #: The mochi-race hooks module, injected by ``_set_race_hooks`` when the
 #: race detector enables.  ``None`` keeps every gate below a single
@@ -400,23 +384,9 @@ class SimKernel:
         task = kernel.spawn(my_generator(), name="driver")
         kernel.run()
         assert task.finished
-
-    ``backend`` selects the event structure: ``"wheel"`` (default, the
-    P1 calendar queue) or ``"heap"`` (the P0 binary heap, kept as a
-    cross-check -- both produce bit-identical schedules).  The default
-    can also be set process-wide with the ``SIM_KERNEL`` environment
-    variable.
     """
 
-    def __init__(self, backend: Optional[str] = None) -> None:
-        if backend is None:
-            backend = os.environ.get("SIM_KERNEL", "wheel").strip() or "wheel"
-        if backend not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"unknown kernel backend {backend!r} (expected one of {KERNEL_BACKENDS})"
-            )
-        self.backend = backend
-        self._wheel = backend == "wheel"
+    def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
         self._live_tasks: set[Task] = set()
@@ -428,26 +398,20 @@ class SimKernel:
         #: tasks remove themselves on finish, making completion detection
         #: O(1) per event instead of a scan over all targets.
         self._watch: Optional[set[Task]] = None
-        if self._wheel:
-            #: deadline -> flat ``[obj, tag, obj, tag, ...]`` slot list.
-            #: ``tag`` is ``_IS_TIMER`` (obj is a Timer), ``_NO_ARG``
-            #: (call ``obj()``) or the argument (call ``obj(tag)``).
-            self._buckets: dict[float, list] = {}
-            #: Min-heap of the *distinct* deadlines present in _buckets.
-            self._dl_heap: list[float] = []
-            #: Overflow entries past the horizon: (deadline, obj, tag).
-            self._far: list[tuple] = []
-            self._span = _WHEEL_SPAN
-            self._horizon = _WHEEL_SPAN
-            #: Proactive-migration trigger (horizon minus half a span).
-            self._mig_at = _WHEEL_SPAN * 0.5
-            #: Live + cancelled entries across buckets and far-list.
-            self._n_queued = 0
-            self._free: list[list] = []
-        else:
-            #: (deadline, seq, obj, tag) entries; seq breaks all ties, so
-            #: comparison never reaches the payload slots.
-            self._queue: list[tuple] = []
+        #: Heap of ``(deadline, seq, obj, tag)`` entries.  ``tag`` is
+        #: ``_IS_TIMER`` (obj is a Timer), ``_NO_ARG`` (call ``obj()``) or
+        #: the argument (call ``obj(tag)``); seq breaks all ties, so
+        #: comparison never reaches the payload slots.
+        self._queue: list[tuple] = []
+        #: Entry seq -> flat ``[obj, tag, ...]`` run of the events that
+        #: joined that entry after its head (same deadline, next seqs).
+        self._runs: dict[int, list] = {}
+        #: Events held in runs: ``queued()`` is heap entries plus these.
+        self._n_run = 0
+        #: Key of the most recently pushed entry, the only one a new
+        #: event may join.
+        self._last_deadline = _NO_DEADLINE
+        self._last_seq = 0
 
     # ------------------------------------------------------------------
     # time and scheduling
@@ -463,54 +427,35 @@ class SimKernel:
         seconds, with no cancellation handle.
 
         This is the fast path the task/ULT resume machinery uses: it
-        allocates no :class:`Timer`, no tuple (wheel backend), and no
-        closure -- the callback and argument go straight into the flat
-        slot list of the deadline's bucket.
+        allocates no :class:`Timer` and no closure.
         """
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        deadline = self._now + delay
-        self._seq += 1
-        if self._wheel:
-            if deadline < self._horizon:
-                bucket = self._buckets.get(deadline)
-                if bucket is None:
-                    free = self._free
-                    bucket = free.pop() if free else []
-                    self._buckets[deadline] = bucket
-                    heapq.heappush(self._dl_heap, deadline)
-                bucket.append(fn)
-                bucket.append(arg)
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"delay must be finite and non-negative, got {delay}")
+        now = self._now
+        deadline = now + delay
+        seq = self._seq + 1
+        self._seq = seq
+        if deadline == self._last_deadline and deadline != now:
+            run = self._runs.get(self._last_seq)
+            if run is None:
+                self._runs[self._last_seq] = [fn, arg]
             else:
-                self._far.append((deadline, fn, arg))
-            self._n_queued += 1
+                run.append(fn)
+                run.append(arg)
+            self._n_run += 1
         else:
-            heapq.heappush(self._queue, (deadline, self._seq, fn, arg))
+            heapq.heappush(self._queue, (deadline, seq, fn, arg))
+            self._last_deadline = deadline
+            self._last_seq = seq
 
     # mochi-lint: hotpath
     def schedule(self, delay: float, fn: Callable[..., None], arg: Any = _NO_ARG) -> Timer:
         """Run ``fn()`` -- or ``fn(arg)`` if ``arg`` is given -- after
         ``delay`` simulated seconds; return a cancellable handle."""
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"delay must be finite and non-negative, got {delay}")
         timer = Timer(self._now + delay, fn, arg, self)
-        self._seq += 1
-        if self._wheel:
-            deadline = timer.deadline
-            if deadline < self._horizon:
-                bucket = self._buckets.get(deadline)
-                if bucket is None:
-                    free = self._free
-                    bucket = free.pop() if free else []
-                    self._buckets[deadline] = bucket
-                    heapq.heappush(self._dl_heap, deadline)
-                bucket.append(timer)
-                bucket.append(_IS_TIMER)
-            else:
-                self._far.append((deadline, timer, _IS_TIMER))
-            self._n_queued += 1
-        else:
-            heapq.heappush(self._queue, (timer.deadline, self._seq, timer, _IS_TIMER))
+        self._push_timer(timer)
         return timer
 
     def schedule_at(self, deadline: float, fn: Callable[..., None], arg: Any = _NO_ARG) -> Timer:
@@ -522,43 +467,41 @@ class SimKernel:
         window boundaries (``k * window``) need for deterministic,
         drift-free rollups.
         """
-        if deadline < self._now:
+        if not self._now <= deadline < _INF:
             raise ValueError(
-                f"deadline {deadline} is in the past (now={self._now})"
+                f"deadline must be finite and not before now={self._now}, got {deadline}"
             )
         timer = Timer(deadline, fn, arg, self)
-        self._seq += 1
-        if self._wheel:
-            if deadline < self._horizon:
-                bucket = self._buckets.get(deadline)
-                if bucket is None:
-                    free = self._free
-                    bucket = free.pop() if free else []
-                    self._buckets[deadline] = bucket
-                    heapq.heappush(self._dl_heap, deadline)
-                bucket.append(timer)
-                bucket.append(_IS_TIMER)
-            else:
-                self._far.append((deadline, timer, _IS_TIMER))
-            self._n_queued += 1
-        else:
-            heapq.heappush(self._queue, (timer.deadline, self._seq, timer, _IS_TIMER))
+        self._push_timer(timer)
         return timer
+
+    def _push_timer(self, timer: Timer) -> None:
+        """Queue ``timer`` under the same joining rule as :meth:`post`
+        (which does not call this: the race layer swaps ``post`` and
+        ``schedule`` independently)."""
+        deadline = timer.deadline
+        seq = self._seq + 1
+        self._seq = seq
+        if deadline == self._last_deadline and deadline != self._now:
+            run = self._runs.get(self._last_seq)
+            if run is None:
+                self._runs[self._last_seq] = [timer, _IS_TIMER]
+            else:
+                run.append(timer)
+                run.append(_IS_TIMER)
+            self._n_run += 1
+        else:
+            heapq.heappush(self._queue, (deadline, seq, timer, _IS_TIMER))
+            self._last_deadline = deadline
+            self._last_seq = seq
 
     def event(self, name: str = "") -> SimEvent:
         """Create a :class:`SimEvent` bound to this kernel."""
         return SimEvent(self, name=name)
 
     def queued(self) -> int:
-        """Entries currently pending (live + not-yet-compacted cancelled).
-
-        Backend-agnostic: tests and monitoring must not reach into the
-        heap list or the wheel buckets directly.
-        """
-        if self._wheel:
-            n = self._n_queued
-            return n if n > 0 else 0
-        return len(self._queue)
+        """Events currently pending (live + not-yet-compacted cancelled)."""
+        return len(self._queue) + self._n_run
 
     # ------------------------------------------------------------------
     # cancelled-timer bookkeeping
@@ -569,108 +512,80 @@ class SimKernel:
         if count >= _COMPACT_MIN_CANCELLED and count * 2 > self.queued():
             self._compact()
 
+    def _discount_cancelled(self, n: int) -> None:
+        # Clamped at zero: a run being drained is detached from the
+        # queue, so a compaction meanwhile already reset the count.
+        count = self._cancelled_count - n
+        self._cancelled_count = count if count > 0 else 0
+
     def _compact(self) -> None:
-        """Drop cancelled entries and rebuild in place.
+        """Drop cancelled entries and rebuild the heap in place.
 
-        Entries keep their relative order -- bucket FIFO position on the
-        wheel, ``(deadline, seq)`` keys on the heap -- so the schedule of
-        live timers is bit-identical with or without compaction.
+        Every entry keeps its ``(deadline, seq)`` key and every run its
+        order; an entry whose head was cancelled takes its first live
+        member as head, under the same seq.  So the schedule of live
+        timers is bit-identical with or without compaction.
 
-        A batch currently being drained by ``run()`` is detached from the
-        bucket dict, so compaction never touches it; its remaining
-        cancelled entries are simply discounted as the drain reaches them
-        (the count decrements clamp at zero for exactly this overlap).
+        A run being drained by ``run()`` is detached from ``_runs``, so
+        compaction never touches it; its cancelled members are
+        discounted as the drain reaches them.
         """
-        if self._wheel:
-            buckets = self._buckets
-            remaining = 0
-            for deadline in list(buckets):
-                bucket = buckets[deadline]
-                out = []
-                i = 0
-                n = len(bucket)
-                while i < n:
-                    obj = bucket[i]
-                    tag = bucket[i + 1]
-                    if tag is _IS_TIMER and obj._cancelled:
-                        i += 2
-                        continue
-                    out.append(obj)
-                    out.append(tag)
-                    i += 2
-                if out:
-                    buckets[deadline] = out
-                    remaining += len(out) // 2
-                else:
-                    # Stale deadlines linger in the heap; the run loop
-                    # skips them when the bucket lookup misses.
-                    del buckets[deadline]
-                self._recycle(bucket)
-            far = self._far
-            if far:
-                far[:] = [
-                    e for e in far if not (e[2] is _IS_TIMER and e[1]._cancelled)
-                ]
-                remaining += len(far)
-            self._n_queued = remaining
-        else:
-            queue = self._queue
-            queue[:] = [
-                e for e in queue if not (e[3] is _IS_TIMER and e[2]._cancelled)
-            ]
-            heapq.heapify(queue)
+        runs = self._runs
+        kept = []
+        n_run = 0
+        for deadline, seq, obj, tag in self._queue:
+            run = runs.pop(seq, None)
+            events = [obj, tag] if run is None else [obj, tag, *run]
+            live = []
+            for i in range(0, len(events), 2):
+                member = events[i]
+                member_tag = events[i + 1]
+                if not (member_tag is _IS_TIMER and member._cancelled):
+                    live.append(member)
+                    live.append(member_tag)
+            if live:
+                kept.append((deadline, seq, live[0], live[1]))
+                if len(live) > 2:
+                    runs[seq] = live[2:]
+                    n_run += len(live) // 2 - 1
+        self._queue[:] = kept
+        heapq.heapify(self._queue)
+        self._n_run = n_run
         self._cancelled_count = 0
+        # The last entry may be gone; the next event opens a new one.
+        self._last_deadline = _NO_DEADLINE
 
-    def _recycle(self, bucket: list) -> None:
-        free = self._free
-        if len(free) < _FREELIST_MAX:
-            bucket.clear()
-            free.append(bucket)
+    def _requeue(self, deadline: float, seq: int, run: list, i: int) -> None:
+        """Put ``run[i:]`` (non-empty) back as an entry keyed
+        ``(deadline, seq)``.
 
-    def _advance_horizon(self) -> None:
-        """Migrate far-list entries into the wheel and move the horizon.
-
-        Called when the wheel drains toward (or past) the horizon.  The
-        far-list is stable-sorted by deadline, so same-deadline entries
-        keep their scheduling (seq) order; bucket/far entries can never
-        share a deadline (bucket deadlines are strictly below every
-        horizon the far entry was pushed under), so migration preserves
-        the global schedule exactly.
+        The members carry the seqs right after the ones already fired
+        or dropped, which no other entry holds, so the requeued tail
+        keeps its exact place in the schedule.
         """
-        far = self._far
-        span = self._span
-        if not far:
-            self._horizon = self._now + span
-            self._mig_at = self._horizon - span * 0.5
-            return
-        far.sort(key=_far_deadline)
-        if self._dl_heap:
-            new_horizon = self._now + span
-        else:
-            new_horizon = far[0][0] + span
-        buckets = self._buckets
-        dl_heap = self._dl_heap
-        free = self._free
-        moved = 0
-        for entry in far:
-            if entry[0] >= new_horizon:
-                break
-            deadline = entry[0]
-            bucket = buckets.get(deadline)
-            if bucket is None:
-                bucket = free.pop() if free else []
-                buckets[deadline] = bucket
-                heapq.heappush(dl_heap, deadline)
-            bucket.append(entry[1])
-            bucket.append(entry[2])
-            moved += 1
-        del far[:moved]
-        self._horizon = new_horizon
-        self._mig_at = new_horizon - span * 0.5
-        # Lazy resize: migrations that barely move anything mean the
-        # wheel is too narrow for this workload's deadline spread.
-        if far and moved < _RESIZE_MIN_MOVED:
-            self._span = span * 2
+        n = len(run)
+        heapq.heappush(self._queue, (deadline, seq, run[i], run[i + 1]))
+        if i + 2 < n:
+            self._runs[seq] = run[i + 2:]
+            self._n_run += (n - i - 2) // 2
+
+    def _skip_cancelled_head(self) -> None:
+        """The heap top's head timer is cancelled: promote the first
+        live member of its run, or drop the entry when every member is
+        cancelled.  A deadline with no live event never becomes now."""
+        deadline, seq, _, _ = heapq.heappop(self._queue)
+        run = self._runs.pop(seq, None)
+        i = n = 0
+        if run is not None:
+            n = len(run)
+            self._n_run -= n // 2
+            while i < n and run[i + 1] is _IS_TIMER and run[i]._cancelled:
+                i += 2
+        if i < n:
+            self._requeue(deadline, seq, run, i)
+        elif seq == self._last_seq:
+            self._last_deadline = _NO_DEADLINE
+        self._discount_cancelled(1 + i // 2)
 
     # ------------------------------------------------------------------
     # tasks
@@ -721,11 +636,7 @@ class SimKernel:
                 self._raise_task_failures()
             if watch is not None and not watch:
                 return
-            if self._wheel:
-                stopped = self._run_wheel(until, watch, max_events, failures)
-            else:
-                stopped = self._run_heap(until, watch, max_events, failures)
-            if stopped:
+            if self._drain(until, watch, max_events, failures):
                 return
             if failures:
                 self._raise_task_failures()
@@ -738,212 +649,98 @@ class SimKernel:
             # to it (idle simulated time passes like any other).
             if until is not None and until > self._now:
                 self._now = until
-                if self._wheel and until >= self._mig_at:
-                    self._advance_horizon()
         finally:
             self._running = False
             self._watch = None
             if _RACE is not None:
                 _RACE.note_run_end()
 
-    def _run_wheel(
+    def _drain(
         self,
         until: Optional[float],
         watch: Optional[set[Task]],
         max_events: int,
         failures: list[Task],
     ) -> bool:
-        """Wheel-backend event loop; True means an early stop (``until``
-        reached or every watched task finished)."""
-        buckets = self._buckets
-        dl_heap = self._dl_heap
-        far = self._far
-        heappop = heapq.heappop
-        no_arg = _NO_ARG
-        is_timer = _IS_TIMER
-        processed = 0
-        while True:
-            if not dl_heap:
-                if far:
-                    self._advance_horizon()
-                    continue
-                return False
-            deadline = dl_heap[0]
-            bucket = buckets.get(deadline)
-            if bucket is None:
-                # Stale deadline: its bucket emptied during compaction.
-                heappop(dl_heap)
-                continue
-            # Find the first live entry without advancing the clock: a
-            # deadline with no live timer never becomes ``now``.
-            i = 0
-            n = len(bucket)
-            while i < n:
-                tag = bucket[i + 1]
-                if tag is is_timer and bucket[i]._cancelled:
-                    i += 2
-                    continue
-                break
-            if i == n:
-                heappop(dl_heap)
-                del buckets[deadline]
-                pairs = n // 2
-                self._n_queued -= pairs
-                count = self._cancelled_count - pairs
-                self._cancelled_count = count if count > 0 else 0
-                self._recycle(bucket)
-                continue
-            if until is not None and deadline > until:
-                self._now = until
-                if until >= self._mig_at:
-                    self._advance_horizon()
-                return True
-            if deadline < self._now:
-                raise SimulationError("event queue went backwards in time")
-            self._now = deadline
-            if deadline >= self._mig_at:
-                self._advance_horizon()
-            # Detach the bucket and drain it: new same-timestamp events
-            # always carry a higher seq, land in a *fresh* bucket for
-            # this deadline, and are drained by the next outer-loop turn
-            # -- exactly the heap's in-batch pickup order.
-            heappop(dl_heap)
-            del buckets[deadline]
-            self._n_queued -= n // 2
-            i = 0
-            try:
-                while i < n:
-                    obj = bucket[i]
-                    tag = bucket[i + 1]
-                    i += 2
-                    if tag is is_timer:
-                        if obj._cancelled:
-                            count = self._cancelled_count
-                            if count:
-                                self._cancelled_count = count - 1
-                            continue
-                        # The timer has left the queue: a late cancel()
-                        # must not count toward the compaction trigger.
-                        obj._kernel = None
-                        arg = obj._arg
-                        if arg is no_arg:
-                            obj._fn()
-                        else:
-                            obj._fn(arg)
-                    elif tag is no_arg:
-                        obj()
-                    else:
-                        obj(tag)
-                    processed += 1
-                    if processed > max_events:
-                        # Checked inside the batch loop: a zero-delay
-                        # self-rescheduling callback keeps the same
-                        # deadline forever and would otherwise hang here.
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; likely a runaway loop"
-                        )
-                    if failures:
-                        self._raise_task_failures()
-                    if watch is not None and not watch:
-                        self._recycle_partial(bucket, i, n)
-                        return True
-            except BaseException:
-                # A callback (or a surfaced task failure) threw mid-batch:
-                # the undrained tail must survive for the next run(), just
-                # as it would have stayed in the binary heap.
-                self._recycle_partial(bucket, i, n)
-                raise
-            self._recycle(bucket)
+        """The event loop; True means an early stop (``until`` reached or
+        every watched task finished).
 
-    def _recycle_partial(self, bucket: list, i: int, n: int) -> None:
-        """An early stop mid-batch: the undrained tail must survive.
-
-        Re-queue the remaining entries at the current time so the next
-        ``run()`` resumes exactly where this one stopped (same order).
+        Events posted while an entry fires carry a deadline of at least
+        ``now`` and a higher seq, so they never join the entry being
+        fired: they land behind it and are picked up in order.
         """
-        if i >= n:
-            self._recycle(bucket)
-            return
-        deadline = self._now
-        existing = self._buckets.get(deadline)
-        tail = bucket[i:n]
-        if existing is None:
-            self._buckets[deadline] = tail
-            heapq.heappush(self._dl_heap, deadline)
-        else:
-            # A fresh same-deadline bucket appeared mid-batch: its events
-            # were scheduled *after* the tail, so the tail goes first.
-            self._buckets[deadline] = tail + existing
-            self._recycle(existing)
-        self._n_queued += (n - i) // 2
-
-    def _run_heap(
-        self,
-        until: Optional[float],
-        watch: Optional[set[Task]],
-        max_events: int,
-        failures: list[Task],
-    ) -> bool:
-        """Heap-backend event loop (``SIM_KERNEL=heap`` cross-check)."""
         queue = self._queue
+        runs = self._runs
         heappop = heapq.heappop
         no_arg = _NO_ARG
         is_timer = _IS_TIMER
         processed = 0
         while queue:
-            # Drop cancelled timers at the top without advancing the
-            # clock: a deadline with no live timer never becomes now.
-            while queue:
-                top = queue[0]
-                if top[3] is is_timer and top[2]._cancelled:
-                    heappop(queue)
-                    self._cancelled_count -= 1
-                else:
-                    break
-            if not queue:
-                break
-            deadline = queue[0][0]
+            entry = queue[0]
+            obj = entry[2]
+            tag = entry[3]
+            if tag is is_timer and obj._cancelled:
+                self._skip_cancelled_head()
+                continue
+            deadline = entry[0]
             if until is not None and deadline > until:
                 self._now = until
                 return True
-            if deadline < self._now:
-                raise SimulationError("event queue went backwards in time")
             self._now = deadline
-            # Drain every event at this timestamp in one batch; new
-            # same-timestamp events land behind the current heap top
-            # (higher seq) and are picked up by the same batch.
-            while queue and queue[0][0] == deadline:
-                entry = heappop(queue)
-                obj = entry[2]
-                tag = entry[3]
-                if tag is is_timer:
-                    if obj._cancelled:
-                        self._cancelled_count -= 1
-                        continue
-                    # The timer has left the heap: a late cancel() must
-                    # not count toward the compaction trigger.
-                    obj._kernel = None
-                    arg = obj._arg
-                    if arg is no_arg:
-                        obj._fn()
+            heappop(queue)
+            seq = entry[1]
+            run = runs.pop(seq, None) if runs else None
+            if run is None:
+                n = 0
+            else:
+                n = len(run)
+                self._n_run -= n // 2
+            i = 0
+            try:
+                while True:
+                    if tag is is_timer and obj._cancelled:
+                        # Only run members get here: a cancelled head
+                        # was skipped before the clock moved.
+                        self._discount_cancelled(1)
                     else:
-                        obj._fn(arg)
-                elif tag is no_arg:
-                    obj()
-                else:
-                    obj(tag)
-                processed += 1
-                if processed > max_events:
-                    # Checked inside the batch loop: a zero-delay
-                    # self-rescheduling callback keeps the same
-                    # deadline forever and would otherwise hang here.
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; likely a runaway loop"
-                    )
-                if failures:
-                    self._raise_task_failures()
-                if watch is not None and not watch:
-                    return True
+                        if tag is no_arg:
+                            obj()
+                        elif tag is is_timer:
+                            # The timer has left the queue: a late
+                            # cancel() must not count toward compaction.
+                            obj._kernel = None
+                            arg = obj._arg
+                            if arg is no_arg:
+                                obj._fn()
+                            else:
+                                obj._fn(arg)
+                        else:
+                            obj(tag)
+                        processed += 1
+                        if processed > max_events:
+                            # Checked per event: a zero-delay
+                            # self-rescheduling callback keeps the same
+                            # deadline forever and would otherwise hang.
+                            raise SimulationError(
+                                f"exceeded max_events={max_events}; likely a runaway loop"
+                            )
+                        if failures:
+                            self._raise_task_failures()
+                        if watch is not None and not watch:
+                            if i < n:
+                                self._requeue(deadline, seq, run, i)
+                            return True
+                    if i == n:
+                        break
+                    obj = run[i]
+                    tag = run[i + 1]
+                    i += 2
+            except BaseException:
+                # A callback (or a surfaced task failure) threw mid-run:
+                # the unfired tail must survive for the next run().
+                if i < n:
+                    self._requeue(deadline, seq, run, i)
+                raise
         return False
 
     def run_all(self, **kwargs: Any) -> None:
@@ -975,7 +772,7 @@ class SimKernel:
         raise error
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<SimKernel t={self._now:.9f} queued={self.queued()} backend={self.backend}>"
+        return f"<SimKernel t={self._now:.9f} queued={self.queued()}>"
 
 
 #: The pristine fast-path ``schedule``/``post``, restored when the race

@@ -217,7 +217,8 @@ class Network:
         self._partitions.clear()
 
     def is_partitioned(self, a: Node, b: Node) -> bool:
-        return frozenset((a.name, b.name)) in self._partitions
+        partitions = self._partitions
+        return bool(partitions) and frozenset((a.name, b.name)) in partitions
 
     def _edge(self, a: Node | str, b: Node | str) -> frozenset[str]:
         name_a = a if isinstance(a, str) else a.name
@@ -241,13 +242,23 @@ class Network:
         if dst is None or not src.alive:
             self.messages_dropped += 1
             return False
-        if src.node is not dst.node and self.is_partitioned(src.node, dst.node):
-            self.messages_dropped += 1
-            return True
+        config = self.config
+        # The transport_between()/link() choice, inline: the RPC path
+        # never goes bulk, and link() would build a dict per message.
+        if src is dst:
+            link = config.self_link
+        elif src.node is dst.node:
+            link = config.sm
+        else:
+            partitions = self._partitions
+            if partitions and frozenset((src.node.name, dst.node.name)) in partitions:
+                self.messages_dropped += 1
+                return True
+            link = config.fabric
         if self.loss_probability > 0 and src is not dst:
             if self._loss_rng.random() < self.loss_probability:
                 self.messages_dropped += 1
                 return True
-        delay = self.transfer_time(src, dst, size) + self.config.send_overhead
+        delay = link.time(size) + config.send_overhead
         self.kernel.post(delay, dst.deliver, payload)
         return True

@@ -9,29 +9,31 @@ These pin the *semantics* that the perf work must not change:
 * cancelled-timer heap compaction is invisible: bit-identical event
   order with and without it, and mass cancellation does not grow the
   queue without bound.
+
+Each test runs on the kernel and on the reference event set of
+``kernel_reference.py``, and the pinned values must hold on both.
 """
 
 import pytest
+from kernel_reference import KERNELS
 
 from repro.sim import SimKernel, SimulationError, Sleep, Task, WaitEvent
 from repro.sim import kernel as kernel_mod
 
 
 @pytest.fixture(params=["wheel", "heap"])
-def backend(request):
-    """Every fastpath fixture runs under both event-queue backends; the
-    wheel and the heap must be observationally identical."""
-    return request.param
+def make_kernel(request):
+    return KERNELS[request.param]
 
 
 # ----------------------------------------------------------------------
 # WaitEvent timeout/wake symmetry (satellite a)
 # ----------------------------------------------------------------------
-def test_wait_event_timeout_resumes_on_fresh_turn(backend):
+def test_wait_event_timeout_resumes_on_fresh_turn(make_kernel):
     """A timed-out waiter resumes *after* other callbacks at the same
     deadline, exactly like an event wake would -- not synchronously
     inside the timeout timer's fire."""
-    kernel = SimKernel(backend)
+    kernel = make_kernel()
     evt = kernel.event()
     order = []
 
@@ -49,9 +51,9 @@ def test_wait_event_timeout_resumes_on_fresh_turn(backend):
     assert order == ["tick", "resumed"]
 
 
-def test_wait_event_wake_resumes_on_fresh_turn(backend):
+def test_wait_event_wake_resumes_on_fresh_turn(make_kernel):
     """Mirror of the timeout case: an event wake also defers."""
-    kernel = SimKernel(backend)
+    kernel = make_kernel()
     evt = kernel.event()
     order = []
 
@@ -72,10 +74,10 @@ def test_wait_event_wake_resumes_on_fresh_turn(backend):
     assert order == [("set",), ("tick",), ("resumed", "go")]
 
 
-def test_wait_event_timeout_removes_waiter(backend):
+def test_wait_event_timeout_removes_waiter(make_kernel):
     """After a timeout the waiter is deregistered: a later set() must
     not step the task a second time."""
-    kernel = SimKernel(backend)
+    kernel = make_kernel()
     evt = kernel.event()
     resumes = []
 
@@ -94,8 +96,8 @@ def test_wait_event_timeout_removes_waiter(backend):
 # ----------------------------------------------------------------------
 # All pending task failures are reported (satellite b)
 # ----------------------------------------------------------------------
-def test_run_reports_all_pending_task_failures(backend):
-    kernel = SimKernel(backend)
+def test_run_reports_all_pending_task_failures(make_kernel):
+    kernel = make_kernel()
 
     def boom(msg):
         raise ValueError(msg)
@@ -115,8 +117,8 @@ def test_run_reports_all_pending_task_failures(backend):
     kernel.run()
 
 
-def test_single_task_failure_has_no_notes(backend):
-    kernel = SimKernel(backend)
+def test_single_task_failure_has_no_notes(make_kernel):
+    kernel = make_kernel()
 
     def bad():
         yield Sleep(1.0)
@@ -131,9 +133,9 @@ def test_single_task_failure_has_no_notes(backend):
 # ----------------------------------------------------------------------
 # Timer cancellation + heap compaction (satellite c)
 # ----------------------------------------------------------------------
-def _golden_workload(backend="wheel"):
+def _golden_workload(make_kernel=SimKernel):
     """A seeded mix of sleeps, waits, timers and mass cancellation."""
-    kernel = SimKernel(backend)
+    kernel = make_kernel()
     log = []
     evt = kernel.event()
 
@@ -182,25 +184,25 @@ GOLDEN_TRACE = [
 ]
 
 
-def test_golden_trace_event_order_pinned(backend):
-    _, log = _golden_workload(backend)
+def test_golden_trace_event_order_pinned(make_kernel):
+    _, log = _golden_workload(make_kernel)
     assert log == GOLDEN_TRACE
 
 
-def test_golden_trace_identical_with_and_without_compaction(monkeypatch, backend):
+def test_golden_trace_identical_with_and_without_compaction(monkeypatch, make_kernel):
     """Compaction must be bit-invisible: the same workload produces the
     same event order whether the cancelled-timer sweep runs or not."""
     monkeypatch.setattr(kernel_mod, "_COMPACT_MIN_CANCELLED", 1)
-    kernel_on, log_compacting = _golden_workload(backend)
+    kernel_on, log_compacting = _golden_workload(make_kernel)
     monkeypatch.setattr(kernel_mod, "_COMPACT_MIN_CANCELLED", 10**9)
-    kernel_off, log_plain = _golden_workload(backend)
+    kernel_off, log_plain = _golden_workload(make_kernel)
     assert log_compacting == log_plain == GOLDEN_TRACE
     # The low threshold really did trigger sweeps, the high one didn't.
     assert kernel_on._seq == kernel_off._seq
 
 
-def test_mass_cancelled_timers_do_not_grow_queue_unboundedly(backend):
-    kernel = SimKernel(backend)
+def test_mass_cancelled_timers_do_not_grow_queue_unboundedly(make_kernel):
+    kernel = make_kernel()
     n = 10_000
     timers = [kernel.schedule(100.0 + i, lambda: None) for i in range(n)]
     assert kernel.queued() == n
@@ -213,12 +215,12 @@ def test_mass_cancelled_timers_do_not_grow_queue_unboundedly(backend):
     assert kernel.now == 0.0  # nothing ever fired
 
 
-def test_max_events_catches_same_timestamp_runaway(backend):
+def test_max_events_catches_same_timestamp_runaway(make_kernel):
     """A zero-delay self-rescheduling callback pins the batch loop to
     one deadline forever; the ``max_events`` guard must fire from
     *inside* that loop (regression: the check once ran only after the
     batch drained, so this workload hung instead of raising)."""
-    kernel = SimKernel(backend)
+    kernel = make_kernel()
 
     def reschedule():
         kernel.schedule(0.0, reschedule)
@@ -228,11 +230,11 @@ def test_max_events_catches_same_timestamp_runaway(backend):
         kernel.run(max_events=1_000)
 
 
-def test_cancel_after_fire_does_not_count_toward_compaction(backend):
+def test_cancel_after_fire_does_not_count_toward_compaction(make_kernel):
     """Cancelling an already-fired timer is a no-op for the compaction
     trigger: the entry has left the heap, so counting it would only
     cause needless sweeps."""
-    kernel = SimKernel(backend)
+    kernel = make_kernel()
     timers = [kernel.schedule(0.1, lambda: None) for _ in range(10)]
     kernel.run()
     for timer in timers:
@@ -241,8 +243,8 @@ def test_cancel_after_fire_does_not_count_toward_compaction(backend):
     assert kernel._cancelled_count == 0
 
 
-def test_compaction_preserves_live_timers(backend):
-    kernel = SimKernel(backend)
+def test_compaction_preserves_live_timers(make_kernel):
+    kernel = make_kernel()
     fired = []
     live = [kernel.schedule(1.0 + i * 0.001, lambda i=i: fired.append(i)) for i in range(50)]
     dead = [kernel.schedule(50.0, lambda: fired.append("dead")) for _ in range(500)]

@@ -59,6 +59,13 @@ def test_ult_requires_generator():
         ULT(lambda: None)  # type: ignore[arg-type]
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "neg"])
+@pytest.mark.parametrize("command", [Compute, UltSleep])
+def test_command_rejects_invalid_duration(command, bad):
+    with pytest.raises(ValueError):
+        command(bad)
+
+
 def test_ult_compute_advances_time_and_busies_stream():
     kernel, (pool,), (xs,) = make_rig()
 

@@ -50,6 +50,34 @@ def test_negative_delay_rejected():
         SimKernel().schedule(-1.0, lambda: None)
 
 
+#: NaN once passed every ``< 0`` check, and a NaN deadline hung ``run()``.
+NON_FINITE = pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+
+
+@NON_FINITE
+def test_post_rejects_non_finite_delay(bad):
+    with pytest.raises(ValueError):
+        SimKernel().post(bad, lambda: None)
+
+
+@NON_FINITE
+def test_schedule_rejects_non_finite_delay(bad):
+    with pytest.raises(ValueError):
+        SimKernel().schedule(bad, lambda: None)
+
+
+@NON_FINITE
+def test_schedule_at_rejects_non_finite_deadline(bad):
+    with pytest.raises(ValueError):
+        SimKernel().schedule_at(bad, lambda: None)
+
+
+@NON_FINITE
+def test_sleep_rejects_non_finite_duration(bad):
+    with pytest.raises(ValueError):
+        Sleep(bad)
+
+
 def test_task_sleep_advances_time():
     kernel = SimKernel()
 

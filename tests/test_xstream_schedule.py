@@ -16,12 +16,13 @@ time and in same-time order, independently of how the stream is driven:
 
 Every ``(kernel.now, ULT, stream, command)`` record and every stream's
 ``slices_run`` / ``busy_time`` / ``ults_finished`` is compared exactly,
-under both kernel backends.  Regenerate the pinned values only for an
-intended scheduling change: ``PYTHONPATH=src python
-tests/test_xstream_schedule.py`` prints them.
+on the kernel and on the reference event set of ``kernel_reference.py``.
+Regenerate the pinned values only for an intended scheduling change:
+``PYTHONPATH=src python tests/test_xstream_schedule.py`` prints them.
 """
 
 import pytest
+from kernel_reference import KERNELS
 
 from repro import Cluster
 from repro.margo.pool import Pool
@@ -39,11 +40,12 @@ from repro.margo.xstream import XStream
 from repro.sim import SimKernel
 
 
+
 @pytest.fixture(params=["wheel", "heap"])
-def backend(request, monkeypatch):
-    # Clusters build their kernel from the environment.
-    monkeypatch.setenv("SIM_KERNEL", request.param)
-    return request.param
+def make_kernel(request, monkeypatch):
+    kernel_cls = KERNELS[request.param]
+    monkeypatch.setattr("repro.cluster.SimKernel", kernel_cls)
+    return kernel_cls
 
 
 def _label(cmd):
@@ -91,8 +93,8 @@ def _counters(streams):
 # ----------------------------------------------------------------------
 # kernel-level scenario
 # ----------------------------------------------------------------------
-def run_kernel_scenario(backend):
-    kernel = SimKernel(backend)
+def run_kernel_scenario(make_kernel):
+    kernel = make_kernel()
     hi, lo, shared = Pool("hi"), Pool("lo"), Pool("shared")
     es0 = XStream(kernel, "es0", [hi, lo])  # one stream, two pools
     es1 = XStream(kernel, "es1", [shared])  # two streams, one pool
@@ -247,8 +249,8 @@ KERNEL_COUNTERS = {
 }
 
 
-def test_kernel_scenario_golden(backend):
-    log, counters = run_kernel_scenario(backend)
+def test_kernel_scenario_golden(make_kernel):
+    log, counters = run_kernel_scenario(make_kernel)
     assert log == KERNEL_LOG
     assert counters == KERNEL_COUNTERS
 
@@ -345,7 +347,7 @@ RUNTIME_COUNTERS = {
 }
 
 
-def test_runtime_scenario_golden(backend):
+def test_runtime_scenario_golden(make_kernel):
     log, results, counters = run_runtime_scenario()
     assert log == RUNTIME_LOG
     assert results == RUNTIME_RESULTS
@@ -355,18 +357,18 @@ def test_runtime_scenario_golden(backend):
 # ----------------------------------------------------------------------
 # structural cost of one echo RPC
 # ----------------------------------------------------------------------
-def _echo_counts(n):
+def _echo_counts(n, kernel_cls):
     """Kernel events (post/schedule/schedule_at calls) and xstream slices
     spent on ``n`` sequential echo RPCs from one client, observers off."""
     calls = [0]
-    saved = {attr: SimKernel.__dict__[attr] for attr in ("post", "schedule", "schedule_at")}
+    saved = {attr: kernel_cls.__dict__[attr] for attr in ("post", "schedule", "schedule_at")}
     for attr, plain in saved.items():
 
         def counted(kernel, *args, _plain=plain, **kwargs):
             calls[0] += 1
             return _plain(kernel, *args, **kwargs)
 
-        setattr(SimKernel, attr, counted)
+        setattr(kernel_cls, attr, counted)
     try:
         off = {"observability": {"tracing": False, "metrics": False}}
         cluster = Cluster(seed=7)
@@ -389,22 +391,22 @@ def _echo_counts(n):
         cluster.run_ult(client, sequential())
     finally:
         for attr, plain in saved.items():
-            setattr(SimKernel, attr, plain)
+            setattr(kernel_cls, attr, plain)
     return calls[0] - events0, sum(x.slices_run for x in streams) - slices0
 
 
-def test_echo_rpc_costs_11_events_and_4_slices(backend):
+def test_echo_rpc_costs_11_events_and_4_slices(make_kernel):
     # The marginal cost between two run lengths cancels the fixed
     # per-run work (spawning the driver, the final wake-up).
-    short = _echo_counts(10)
-    long = _echo_counts(30)
+    short = _echo_counts(10, make_kernel)
+    long = _echo_counts(30, make_kernel)
     assert ((long[0] - short[0]) / 20, (long[1] - short[1]) / 20) == (11, 4)
 
 
 if __name__ == "__main__":  # pragma: no cover - golden regeneration
     import pprint
 
-    log, counters = run_kernel_scenario("wheel")
+    log, counters = run_kernel_scenario(SimKernel)
     print("KERNEL_LOG = ", end="")
     pprint.pprint(log)
     print("KERNEL_COUNTERS = ", end="")
